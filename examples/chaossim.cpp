@@ -1,14 +1,15 @@
 // chaossim — chaos harness for the resilient signaling plane.
 //
 // Sweeps a fault matrix — control-message loss x injected hop delay x member
-// churn x link faults x router crashes — and runs every cell to quiescence
+// churn x link faults x router crashes. Each cell is written as a scenario
+// (sim/scenario.h) and judged by the chaos oracle (audit/chaos_oracle.h),
+// the same gate chaosfuzz and --scenario use: the cell runs to quiescence
 // (arrivals stop after the measurement window, the calendar runs dry) under
-// a non-throwing InvariantAuditor. A cell passes when it ends with an empty
-// flow table, zero reserved bandwidth, zero pending orphans, an empty
-// path-repair queue, a clean audit log, and — for probe-free runs started
-// without warm-up — a signaling hop tally that reconciles exactly with the
-// MessageCounter. Exits nonzero if any cell fails, which makes the binary a
-// CI gate.
+// a throwing InvariantAuditor and passes when it ends with an empty flow
+// table, zero reserved bandwidth, zero pending orphans, an empty path-repair
+// queue, no Open breaker, and a signaling hop tally that reconciles exactly
+// with the MessageCounter. Exits nonzero if any cell fails, which makes the
+// binary a CI gate.
 //
 // Cells on the node-fault axis (--node-mtbfs entries > 0) run the full
 // failure-domain plane: Poisson router crashes, link-state flooding
@@ -20,7 +21,7 @@
 //   $ ./chaossim --topology=grid:3x3 --group=0,8 --measure=2000 --out=chaos.csv
 //   $ ./chaossim --metrics-out=chaos.prom --spans-out=spans.jsonl --flight-prefix=/tmp/flight
 //
-// Every cell runs with a flight recorder by default: when a link fault,
+// Every cell runs with the oracle's flight recorder: when a link fault,
 // member churn, or audit finding fires, the cell's bounded causal snapshot
 // is written to <flight-prefix>-cell<N>.jsonl (cells without a trigger write
 // nothing).
@@ -31,23 +32,17 @@
 #include <string>
 #include <vector>
 
-#include "src/audit/auditor.h"
 #include "src/audit/chaos_oracle.h"
 #include "src/control/directive.h"
 #include "src/control/governor.h"
-#include "src/net/reconvergence.h"
-#include "src/net/topologies.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/kernel_stats.h"
 #include "src/obs/ops_server.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/timeline.h"
-#include "src/sim/churn.h"
-#include "src/sim/faults.h"
 #include "src/sim/metrics_export.h"
 #include "src/sim/scenario.h"
-#include "src/sim/simulation.h"
 #include "src/util/cli.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
@@ -91,36 +86,85 @@ std::vector<double> parse_rates(const std::string& text, const char* what) {
   return values;
 }
 
-net::Topology build_topology(const std::string& spec) {
-  if (spec == "mci") {
-    return net::topologies::mci_backbone();
+/// One matrix cell's axis settings.
+struct Cell {
+  std::uint64_t index = 0;
+  double loss = 0.0;
+  double churn_rate = 0.0;
+  bool faults_on = false;
+  double node_mtbf = 0.0;
+};
+
+/// The scenario one matrix cell runs: ED with R = 2 (probe-free, so the hop
+/// mirror must reconcile exactly with the MessageCounter), zero warm-up (the
+/// counter is never reset mid-run), resilient signaling, and the cell's
+/// random fault axes drawn at seed + cell.
+sim::Scenario cell_scenario(const util::CliFlags& flags, const Cell& cell) {
+  sim::Scenario scenario;
+  scenario.name = "chaossim-cell";
+  scenario.name += std::to_string(cell.index);
+  scenario.topology = flags.get_string("topology");
+  scenario.seed = flags.get_unsigned("seed") + cell.index;
+  scenario.lambda = flags.get_double("lambda");
+  scenario.mean_holding_s = flags.get_double("holding");
+  scenario.flow_bandwidth_bps = flags.get_double("bandwidth");
+  scenario.sources = parse_nodes(flags.get_string("sources"), "--sources");
+  scenario.algorithm = "ED";
+  scenario.max_tries = 2;
+  scenario.group = parse_nodes(flags.get_string("group"), "--group");
+  scenario.warmup_s = 0.0;
+  scenario.measure_s = flags.get_double("measure");
+  scenario.drain_to_quiescence = true;
+  scenario.drain_max_events = flags.get_unsigned("drain-max-events");
+  scenario.drain_max_sim_s = flags.get_double("drain-max-sim");
+
+  sim::ScenarioResilience& resilience = scenario.resilience.emplace();
+  resilience.loss_probability = cell.loss;
+  resilience.hop_delay_s = flags.get_double("hop-delay");
+  resilience.retransmit_timeout_s = flags.get_double("retransmit-timeout");
+  resilience.max_retransmits = flags.get_unsigned("max-retransmits");
+  resilience.orphan_hold_s = flags.get_double("orphan-hold");
+
+  scenario.axes.churn_rate = cell.churn_rate;
+  scenario.axes.churn_mean_down_s = flags.get_double("churn-downtime");
+  if (cell.faults_on) {
+    scenario.axes.link_rate = flags.get_double("fault-rate");
+    scenario.axes.link_mean_repair_s = flags.get_double("fault-repair");
   }
-  if (util::starts_with(spec, "line:")) {
-    return net::topologies::line(util::parse_unsigned(spec.substr(5)).value());
+  if (cell.node_mtbf > 0.0) {
+    // The node-fault axis runs the full failure-domain plane: router
+    // crashes, flooding reconvergence, and path repair together.
+    scenario.axes.node_rate = 1.0 / cell.node_mtbf;
+    scenario.axes.node_mean_repair_s = flags.get_double("node-mttr");
+    scenario.reconvergence =
+        sim::ScenarioReconvergence{"flooding", flags.get_double("reconverge-round")};
+    scenario.path_repair = true;
   }
-  if (util::starts_with(spec, "ring:")) {
-    return net::topologies::ring(util::parse_unsigned(spec.substr(5)).value());
+  if (flags.get_bool("adaptive")) {
+    // The governor's floor drops to 1 so AIMD has headroom even against
+    // R = 2, and the cooldown is short enough that mid-run trips (churn!)
+    // probe and close well before the drain.
+    sim::ScenarioGovernor& governor = scenario.governor.emplace();
+    governor.min_tries = 1;
+    governor.breaker_cooldown_s = 30.0;
   }
-  if (util::starts_with(spec, "grid:")) {
-    const auto dims = util::split(spec.substr(5), 'x');
-    util::require(dims.size() == 2, "grid spec is grid:<rows>x<cols>");
-    return net::topologies::grid(util::parse_unsigned(dims[0]).value(),
-                                 util::parse_unsigned(dims[1]).value());
-  }
-  util::require(false, "unknown topology spec '" + spec + "' (mci, line:N, ring:N, grid:RxC)");
-  util::unreachable("build_topology");
+  return scenario;
 }
 
-struct CellVerdict {
-  bool hung = false;            // the drain watchdog tripped before quiescence
-  bool leaked = false;          // reserved bandwidth, orphans, or queued repairs survived
-  bool violations = false;      // the auditor logged at least one finding
-  bool unreconciled = false;    // hop mirror != MessageCounter (when checkable)
-  bool breaker_open = false;    // a circuit breaker survived the drain Open
-  [[nodiscard]] bool clean() const {
-    return !hung && !leaked && !violations && !unreconciled && !breaker_open;
-  }
-};
+/// <prefix>-cell<N>.jsonl, one per-cell artifact.
+std::string cell_path(const std::string& prefix, std::uint64_t cell) {
+  std::string path = prefix;
+  path += "-cell";
+  path += std::to_string(cell);
+  path += ".jsonl";
+  return path;
+}
+
+std::ofstream open_output(const std::string& path) {
+  std::ofstream out(path);
+  util::require(out.good(), "cannot open " + path);
+  return out;
+}
 
 }  // namespace
 
@@ -130,7 +174,8 @@ int main(int argc, char** argv) {
   flags.add_string("scenario", "",
                    "single-scenario mode: run this scenario file (sim/scenario.h) through the"
                    " chaos oracle instead of the matrix; exit 1 on any violation");
-  flags.add_string("topology", "ring:8", "mci | line:N | ring:N | grid:RxC");
+  flags.add_string("topology", "ring:8",
+                   "mci | line:N | ring:N | star:N | grid:RxC | waxman:NxSEED | file:PATH");
   flags.add_string("group", "0,4", "anycast member routers");
   flags.add_string("sources", "1,3,5,7", "source routers");
   flags.add_string("losses", "0,0.05,0.2", "comma list of loss probabilities to sweep");
@@ -156,16 +201,15 @@ int main(int argc, char** argv) {
   flags.add_unsigned("seed", 101, "master RNG seed (each cell offsets it)");
   flags.add_unsigned("drain-max-events", 0,
                      "drain watchdog: abort a cell's drain after this many events; a tripped"
-                     " watchdog fails the cell (0 = uncapped)");
+                     " watchdog fails the cell (0 = the chaos oracle's fallback cap)");
   flags.add_duration("drain-max-sim", 0.0,
                      "drain watchdog: abort a cell's drain this many sim-seconds past the"
-                     " horizon (0 = uncapped)");
+                     " horizon (0 = the chaos oracle's fallback cap)");
   flags.add_string("out", "", "also write the matrix as CSV to this file");
   flags.add_string("metrics-out", "",
                    "write per-cell metrics here (.prom = Prometheus text, else JSONL); every"
                    " series carries a cell=<n> label");
   flags.add_string("spans-out", "", "write every cell's admission-decision spans here (JSONL)");
-  flags.add_bool("flight-recorder", true, "arm a per-cell fault-triggered flight recorder");
   flags.add_string("flight-prefix", "chaos-flight",
                    "flight snapshots go to <prefix>-cell<N>.jsonl");
   flags.add_unsigned("flight-depth", 256, "flight-recorder ring capacity, entries");
@@ -186,17 +230,15 @@ int main(int argc, char** argv) {
     std::cout << flags.help_text();
     return 0;
   }
+  audit::ChaosOracleOptions oracle_options;
+  oracle_options.flight_depth = flags.get_unsigned("flight-depth");
 
   // Single-scenario mode: one replayable file, the full oracle stack, one
   // classified verdict. This is how a chaosfuzz-shrunk repro is re-judged
   // under the same gates CI applies to the matrix.
   if (!flags.get_string("scenario").empty()) {
-    std::ifstream scenario_file(flags.get_string("scenario"));
-    util::require(scenario_file.good(), "cannot open scenario file");
-    std::ostringstream scenario_text;
-    scenario_text << scenario_file.rdbuf();
-    const sim::Scenario scenario = sim::load_scenario(scenario_text.str());
-    const audit::ChaosOracleOutcome outcome = audit::run_chaos_oracle(scenario);
+    const sim::Scenario scenario = sim::load_scenario_file(flags.get_string("scenario"));
+    const audit::ChaosOracleOutcome outcome = audit::run_chaos_oracle(scenario, oracle_options);
     if (outcome.clean()) {
       std::cout << "scenario '" << scenario.name << "' clean ("
                 << scenario.fault_entries() << " fault entries, seed " << scenario.seed
@@ -222,18 +264,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const net::Topology topology = build_topology(flags.get_string("topology"));
   const std::vector<double> losses =
       parse_probabilities(flags.get_string("losses"), "--losses");
   const std::vector<double> churn_rates =
       parse_rates(flags.get_string("churn-rates"), "--churn-rates");
   const std::vector<double> node_mtbfs =
       parse_rates(flags.get_string("node-mtbfs"), "--node-mtbfs");
-  // One flooding policy for the whole matrix: every cell shares the
-  // topology, so the O(diameter) convergence lag is the same for all.
-  net::FloodingReconvergence reconvergence(flags.get_double("reconverge-round"));
 
-  const bool flight_on = flags.get_bool("flight-recorder");
   std::ofstream spans_file;
   std::unique_ptr<obs::JsonlSpanSink> shared_spans;
   if (!flags.get_string("spans-out").empty()) {
@@ -251,8 +288,6 @@ int main(int argc, char** argv) {
   std::size_t timeline_files = 0;
   std::size_t kernel_stats_files = 0;
 
-  const bool adaptive = flags.get_bool("adaptive");
-
   // One ops server spans the whole matrix: each cell re-publishes /metrics
   // with its own cell=<n> label, so a scraper watching the sweep sees the
   // running cell. The mailbox only drains into cells that carry a governor.
@@ -265,32 +300,8 @@ int main(int argc, char** argv) {
     obs::OpsServerOptions server_options;
     server_options.port = static_cast<std::uint16_t>(*port);
     ops_server = std::make_unique<obs::OpsServer>(server_options);
-    if (adaptive) {
-      ops_server->set_control_handler(
-          [&ops_mailbox](const std::string& knob_name, const std::string& body) {
-            obs::ControlOutcome outcome;
-            const std::optional<control::Knob> knob = control::parse_knob(knob_name);
-            if (!knob.has_value()) {
-              outcome.status = 404;
-              outcome.body = "{\"error\":\"unknown knob '" + util::json_escape(knob_name) +
-                             "'\"}\n";
-              return outcome;
-            }
-            const std::optional<double> value = util::parse_double(util::trim(body));
-            if (!value.has_value()) {
-              outcome.status = 422;
-              outcome.body = "{\"error\":\"body must be a single number\"}\n";
-              return outcome;
-            }
-            if (const auto error = control::validate_directive(*knob, *value)) {
-              outcome.status = 422;
-              outcome.body = "{\"error\":\"" + util::json_escape(*error) + "\"}\n";
-              return outcome;
-            }
-            ops_mailbox.post({*knob, *value});
-            outcome.body = "{\"queued\":{\"knob\":\"" + control::to_string(*knob) + "\"}}\n";
-            return outcome;
-          });
+    if (flags.get_bool("adaptive")) {
+      ops_server->set_control_handler(obs::mailbox_control_handler(ops_mailbox));
     }
     ops_server->start();
     std::cout << "ops server        http://127.0.0.1:" << ops_server->port()
@@ -303,160 +314,58 @@ int main(int argc, char** argv) {
   csv << "loss,churn_rate,faults,node_mtbf,admission_probability,retransmits,"
          "orphans_reclaimed,dropped_by_fault,dropped_by_churn,failover_admitted,"
          "failover_attempts,node_outages,reconvergences,repaired,unrepairable,"
-         "pending_repairs,adaptive,effective_r,breaker_trips,breaker_open,shed,leaked,"
-         "violations,unreconciled\n";
+         "pending_repairs,adaptive,effective_r,breaker_trips,breaker_open,shed,verdict\n";
 
   std::size_t failures = 0;
-  std::uint64_t cell = 0;
+  std::uint64_t cells = 0;
   for (const double loss : losses) {
     for (const double churn_rate : churn_rates) {
       for (const bool faults_on : {false, true}) {
         for (const double node_mtbf : node_mtbfs) {
-          ++cell;
-          sim::SimulationConfig config;
-          config.traffic.arrival_rate = flags.get_double("lambda");
-          config.traffic.mean_holding_s = flags.get_double("holding");
-          config.traffic.flow_bandwidth_bps = flags.get_double("bandwidth");
-          config.traffic.sources = parse_nodes(flags.get_string("sources"), "--sources");
-          config.group_members = parse_nodes(flags.get_string("group"), "--group");
-          config.algorithm = core::SelectionAlgorithm::kEvenDistribution;  // probe-free
-          config.max_tries = 2;
-          // Zero warm-up: the MessageCounter is never reset mid-run, so the
-          // resilient protocol's hop mirror must match it exactly.
-          config.warmup_s = 0.0;
-          config.measure_s = flags.get_double("measure");
-          config.seed = flags.get_unsigned("seed") + cell;
-          config.drain_to_quiescence = true;
+          const Cell cell{++cells, loss, churn_rate, faults_on, node_mtbf};
+          const std::string cell_label = std::to_string(cell.index);
+          const sim::Scenario scenario = cell_scenario(flags, cell);
+          audit::ChaosOracle oracle(scenario, oracle_options);
 
-          signaling::ResilienceOptions resilience;
-          resilience.faults.loss_probability = loss;
-          resilience.faults.hop_delay_s = flags.get_double("hop-delay");
-          resilience.retransmit_timeout_s = flags.get_double("retransmit-timeout");
-          resilience.max_retransmits = flags.get_unsigned("max-retransmits");
-          resilience.orphan_hold_s = flags.get_double("orphan-hold");
-          config.resilience = resilience;
-
-          // All three random axes through the one shared scenario builder
-          // (churn at seed+1, link faults at seed+2, node faults at seed+3 —
-          // the same offsets every scenario file uses, so a cell's schedules
-          // are exactly reproducible from an `axes` block).
-          sim::FaultAxes axes;
-          axes.churn_rate = churn_rate;
-          axes.churn_mean_down_s = flags.get_double("churn-downtime");
-          if (faults_on) {
-            axes.link_rate = flags.get_double("fault-rate");
-            axes.link_mean_repair_s = flags.get_double("fault-repair");
-          }
-          if (node_mtbf > 0.0) {
-            axes.node_rate = 1.0 / node_mtbf;
-            axes.node_mean_repair_s = flags.get_double("node-mttr");
-          }
-          sim::ScenarioSchedules schedules = sim::scenario_schedules(
-              topology, config.group_members.size(), config.measure_s, axes, config.seed);
-          config.churn = std::move(schedules.churn);
-          config.faults = std::move(schedules.link_faults);
-          config.node_faults = std::move(schedules.node_faults);
-          if (node_mtbf > 0.0) {
-            // The node-fault axis runs the full failure-domain plane: router
-            // crashes, flooding reconvergence, and path repair together.
-            config.reconvergence = &reconvergence;
-            config.path_repair = true;
-          }
-          config.drain_max_events = flags.get_unsigned("drain-max-events");
-          config.drain_max_sim_s = flags.get_double("drain-max-sim");
-
-          // Arm the per-cell flight recorder: spans land in its ring (teeing to
-          // the shared spans file when one is open) and snapshots buffer in
-          // memory — the file is created only if this cell actually triggers.
-          obs::DecisionTracer tracer;
-          std::ostringstream flight_buffer;
-          std::unique_ptr<obs::FlightRecorder> recorder;
-          if (flight_on) {
-            obs::FlightRecorderOptions flight_options;
-            flight_options.depth = flags.get_unsigned("flight-depth");
-            recorder = std::make_unique<obs::FlightRecorder>(flight_options);
-            recorder->set_output(&flight_buffer);
-            recorder->set_forward(shared_spans.get());  // nullptr detaches
-            tracer.set_sink(&recorder->span_sink());
-            config.tracer = &tracer;
-            config.flight_recorder = recorder.get();
-          } else if (shared_spans != nullptr) {
-            tracer.set_sink(shared_spans.get());
-            config.tracer = &tracer;
-          }
-
-          // The governor rides along when --adaptive is set: its floor drops to
-          // 1 so AIMD has headroom even against this matrix's R = 2 cells, and
-          // the cooldown is short enough that mid-run trips (churn!) probe and
-          // close well before the drain.
-          std::unique_ptr<control::OverloadGovernor> governor;
-          if (adaptive) {
-            control::GovernorOptions governor_options;
-            governor_options.min_tries = 1;
-            governor_options.breaker.cooldown_s = 30.0;
-            governor = std::make_unique<control::OverloadGovernor>(governor_options);
-            config.governor = governor.get();
-          }
-
-          if (ops_server != nullptr) {
-            config.ops_server = ops_server.get();
-            config.ops_labels = {{"cell", std::to_string(cell)}};
-            if (governor != nullptr) {
-              config.ops_mailbox = &ops_mailbox;
+          // Attach this cell's observers: spans tee from the oracle's flight
+          // recorder to the shared file, and the optional per-cell planes.
+          oracle.flight_recorder().set_forward(shared_spans.get());  // nullptr detaches
+          std::unique_ptr<obs::KernelStats> kernel_stats;
+          std::unique_ptr<obs::Timeline> timeline;
+          sim::ScenarioRun* run = oracle.lowered();
+          if (run != nullptr) {
+            if (!flags.get_string("kernel-stats-prefix").empty()) {
+              kernel_stats = std::make_unique<obs::KernelStats>();
+              run->config.kernel_stats = kernel_stats.get();
+            }
+            if (!flags.get_string("timeline-prefix").empty()) {
+              obs::TimelineOptions timeline_options;
+              timeline_options.interval_s = flags.get_double("timeline-interval");
+              timeline = std::make_unique<obs::Timeline>(timeline_options);
+              run->config.timeline = timeline.get();
+            }
+            if (ops_server != nullptr) {
+              run->config.ops_server = ops_server.get();
+              run->config.ops_labels = {{"cell", cell_label}};
+              if (run->governor != nullptr) {
+                run->config.ops_mailbox = &ops_mailbox;
+              }
             }
           }
-
-          std::unique_ptr<obs::KernelStats> kernel_stats;
-          if (!flags.get_string("kernel-stats-prefix").empty()) {
-            kernel_stats = std::make_unique<obs::KernelStats>();
-            config.kernel_stats = kernel_stats.get();
-          }
-
-          std::unique_ptr<obs::Timeline> timeline;
-          if (!flags.get_string("timeline-prefix").empty()) {
-            obs::TimelineOptions timeline_options;
-            timeline_options.interval_s = flags.get_double("timeline-interval");
-            timeline = std::make_unique<obs::Timeline>(timeline_options);
-            config.timeline = timeline.get();
-          }
-
-          sim::Simulation simulation(topology, config);
-          audit::AuditorOptions audit_options;
-          audit_options.throw_on_violation = false;  // survey the whole matrix
-          audit_options.checkpoint_interval_s = 50.0;
-          audit::InvariantAuditor auditor(audit_options);
-          auditor.attach(simulation);
-          if (recorder != nullptr) {
-            auditor.set_violation_hook([&recorder](const audit::Violation& violation) {
-              recorder->trigger(violation.sim_time, "audit " + audit::to_string(violation.check));
-            });
-          }
-          const sim::SimulationResult result = simulation.run();
-          spans_emitted += tracer.spans_emitted();
-
-          CellVerdict verdict;
-          verdict.hung = simulation.drain_watchdog().tripped;
-          auto* resilient = simulation.resilient();
-          util::ensure(resilient != nullptr, "chaos cells always run resilient");
-          if (simulation.ledger().total_reserved() > 0.0 || simulation.active_flows() > 0 ||
-              resilient->pending_orphans() > 0 || simulation.pending_repairs() > 0) {
-            verdict.leaked = true;
-            // Documented leak repair: reclaim whatever soft state survived the
-            // drain so the next cell's numbers are not polluted. The cell still
-            // fails — a drained run must not need this.
-            (void)resilient->reclaim_pending();
-          }
-          verdict.violations = !auditor.log().empty();
-          verdict.unreconciled =
-              result.resilience.hops_counted != result.messages.total();
-          // Cooldown timers are one-shot and fire through the drain, so an Open
-          // breaker at quiescence means the half-open path broke — a CI-grade
-          // failure, same as a ledger leak.
-          verdict.breaker_open = governor != nullptr && governor->open_breakers() > 0;
-          if (!verdict.clean()) {
+          const audit::ChaosOracleOutcome outcome = oracle.run();
+          spans_emitted += oracle.tracer().spans_emitted();
+          flight_triggers += oracle.flight_recorder().triggers();
+          if (!outcome.clean()) {
             ++failures;
           }
 
+          const sim::SimulationResult& result = outcome.result;
+          const control::OverloadGovernor* governor =
+              run != nullptr ? run->governor.get() : nullptr;
+          const std::size_t pending_repairs =
+              oracle.simulation() != nullptr ? oracle.simulation()->pending_repairs() : 0;
+          const bool breaker_open = governor != nullptr && governor->open_breakers() > 0;
+          const std::string verdict = outcome.clean() ? "clean" : outcome.violation_class;
           std::ostringstream drops;
           drops << result.dropped_by_fault << "/" << result.dropped_by_churn;
           std::ostringstream failover;
@@ -482,66 +391,45 @@ int main(int argc, char** argv) {
                          util::format_fixed(result.admission_probability, 4),
                          std::to_string(result.resilience.retransmits),
                          std::to_string(result.resilience.orphans_reclaimed), drops.str(),
-                         failover.str(), repair.str(), gov.str(),
-                         verdict.clean() ? "clean"
-                                         : (std::string(verdict.hung ? " hang" : "") +
-                                            (verdict.leaked ? " leak" : "") +
-                                            (verdict.violations ? " audit" : "") +
-                                            (verdict.unreconciled ? " msgs" : "") +
-                                            (verdict.breaker_open ? " breaker" : ""))});
+                         failover.str(), repair.str(), gov.str(), verdict});
           csv << loss << ',' << churn_rate << ',' << (faults_on ? 1 : 0) << ',' << node_mtbf
               << ',' << result.admission_probability << ',' << result.resilience.retransmits
               << ',' << result.resilience.orphans_reclaimed << ',' << result.dropped_by_fault
               << ',' << result.dropped_by_churn << ',' << result.failover_admitted << ','
               << result.failover_attempts << ',' << result.node_outages << ','
               << result.reconvergences << ',' << result.repaired << ','
-              << result.unrepairable << ',' << simulation.pending_repairs() << ','
+              << result.unrepairable << ',' << pending_repairs << ','
               << (governor != nullptr ? 1 : 0) << ','
-              << (governor != nullptr ? governor->effective_max_tries() : config.max_tries)
-              << ',' << (governor != nullptr ? governor->stats().breaker_trips : 0) << ','
-              << (verdict.breaker_open ? 1 : 0) << ',' << result.shed << ','
-              << (verdict.leaked ? 1 : 0) << ',' << (verdict.violations ? 1 : 0) << ','
-              << (verdict.unreconciled ? 1 : 0) << "\n";
-          if (verdict.violations) {
-            std::cerr << "audit findings (loss=" << loss << " churn=" << churn_rate
-                      << " faults=" << (faults_on ? "on" : "off")
-                      << " node_mtbf=" << node_mtbf << "):\n"
-                      << auditor.log().to_text();
+              << (governor != nullptr ? governor->effective_max_tries() : scenario.max_tries)
+              << ','
+              << (governor != nullptr ? governor->stats().breaker_trips : 0) << ','
+              << (breaker_open ? 1 : 0) << ',' << result.shed << ','
+              << util::csv_escape(verdict) << "\n";
+          if (!outcome.clean()) {
+            std::cerr << "cell " << cell_label << " (loss=" << loss << " churn=" << churn_rate
+                      << " faults=" << (faults_on ? "on" : "off") << " node_mtbf=" << node_mtbf
+                      << "): " << outcome.violation_class << "\n"
+                      << outcome.detail << "\n"
+                      << outcome.audit_log;
           }
-          if (registry != nullptr) {
-            sim::export_metrics(simulation, config, result, *registry,
-                                {{"cell", std::to_string(cell)}});
+          if (registry != nullptr && outcome.ran) {
+            sim::export_metrics(*oracle.simulation(), run->config, result, *registry,
+                                {{"cell", cell_label}});
           }
-          if (recorder != nullptr) {
-            flight_triggers += recorder->triggers();
-            if (recorder->dumps_written() > 0) {
-              std::string path = flags.get_string("flight-prefix");
-              path += "-cell";
-              path += std::to_string(cell);
-              path += ".jsonl";
-              std::ofstream dump(path);
-              util::require(dump.good(), "cannot open flight dump file");
-              dump << flight_buffer.str();
-              flight_files.push_back(std::move(path));
-            }
+          if (!outcome.flight_dump.empty()) {
+            flight_files.push_back(cell_path(flags.get_string("flight-prefix"), cell.index));
+            std::ofstream out = open_output(flight_files.back());
+            out << outcome.flight_dump;
           }
           if (timeline != nullptr) {
-            std::string path = flags.get_string("timeline-prefix");
-            path += "-cell";
-            path += std::to_string(cell);
-            path += ".jsonl";
-            std::ofstream out(path);
-            util::require(out.good(), "cannot open timeline file");
+            std::ofstream out =
+                open_output(cell_path(flags.get_string("timeline-prefix"), cell.index));
             timeline->write_jsonl(out);
             ++timeline_files;
           }
           if (kernel_stats != nullptr) {
-            std::string path = flags.get_string("kernel-stats-prefix");
-            path += "-cell";
-            path += std::to_string(cell);
-            path += ".jsonl";
-            std::ofstream out(path);
-            util::require(out.good(), "cannot open kernel-stats file");
+            std::ofstream out =
+                open_output(cell_path(flags.get_string("kernel-stats-prefix"), cell.index));
             kernel_stats->write_jsonl(out);
             ++kernel_stats_files;
           }
@@ -551,10 +439,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << table.to_text() << "\n"
-            << cell << " cells, " << failures << " failed ("
+            << cells << " cells, " << failures << " failed ("
             << losses.size() << " loss x " << churn_rates.size()
             << " churn x 2 fault x " << node_mtbfs.size()
-            << " node settings; drained to quiescence, audited)\n";
+            << " node settings; drained to quiescence, judged by the chaos oracle)\n";
   if (!flags.get_string("out").empty()) {
     std::ofstream out(flags.get_string("out"));
     util::require(out.good(), "cannot open --out file");
@@ -577,14 +465,12 @@ int main(int argc, char** argv) {
     std::cout << "spans written to " << flags.get_string("spans-out") << " (" << spans_emitted
               << " spans)\n";
   }
-  if (flight_on) {
-    std::cout << "flight recorder   " << flight_triggers << " triggers, "
-              << flight_files.size() << " cells dumped";
-    for (const std::string& path : flight_files) {
-      std::cout << " " << path;
-    }
-    std::cout << "\n";
+  std::cout << "flight recorder   " << flight_triggers << " triggers, " << flight_files.size()
+            << " cells dumped";
+  for (const std::string& path : flight_files) {
+    std::cout << " " << path;
   }
+  std::cout << "\n";
   if (timeline_files > 0) {
     std::cout << "timelines written to " << flags.get_string("timeline-prefix")
               << "-cell<N>.jsonl (" << timeline_files << " cells)\n";

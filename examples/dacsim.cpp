@@ -1,24 +1,24 @@
 // dacsim — the general-purpose simulation front end (ns-style tooling).
 //
-// Runs one fully flag-configured DAC simulation: any built-in or file-loaded
-// topology, any group/source placement, any <A,R> system or baseline, with
-// optional fault injection and a CSV event trace. Prints the aggregate
-// results the paper reports plus this library's extra diagnostics.
+// Runs one DAC simulation: any built-in or file-loaded topology, any
+// group/source placement, any <A,R> system or the GDI baseline, with
+// optional fault injection and a CSV event trace. The workload, system and
+// fault flags write a scenario (sim/scenario.h) that is lowered exactly like
+// a --scenario file; the remaining flags attach observers to the run.
+// Prints the aggregate results the paper reports plus this library's extra
+// diagnostics.
 //
 //   $ ./dacsim --algorithm=WD/D+H --retries=2 --lambda=35
 //   $ ./dacsim --topology=grid:4x5 --group=0,7,19 --sources=2,9,12 --lambda=8
-//   $ ./dacsim --topology-file=mynet.topo --gdi --trace=/tmp/events.csv
+//   $ ./dacsim --topology=file:mynet.topo --gdi --trace=/tmp/events.csv
 //   $ ./dacsim --metrics-out=run.prom --spans-out=spans.jsonl --profile
 //   $ ./dacsim --timeline-out=tl.csv --flight-recorder=flight.jsonl --fault-rate=1e-4
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "src/audit/auditor.h"
 #include "src/control/directive.h"
 #include "src/control/governor.h"
-#include "src/net/reconvergence.h"
-#include "src/net/topology_io.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/kernel_stats.h"
 #include "src/obs/ops_server.h"
@@ -27,8 +27,6 @@
 #include "src/obs/span.h"
 #include "src/obs/timeline.h"
 #include "src/sim/metrics_export.h"
-#include "src/sim/experiment.h"
-#include "src/sim/faults.h"
 #include "src/sim/scenario.h"
 #include "src/util/cli.h"
 #include "src/util/require.h"
@@ -49,37 +47,87 @@ std::vector<net::NodeId> parse_nodes(const std::string& text, const char* what) 
   return nodes;
 }
 
-net::Topology build_topology(const std::string& spec, const std::string& file) {
-  if (!file.empty()) {
-    return net::load_topology(file);
+bool ops_plane(const util::CliFlags& flags) {
+  return !flags.get_string("ops-port").empty() || !flags.get_string("ops-replay").empty() ||
+         !flags.get_string("ops-log").empty();
+}
+
+/// The scenario the workload, system and fault flags describe.
+sim::Scenario scenario_from_flags(const util::CliFlags& flags) {
+  sim::Scenario scenario;
+  scenario.name = "dacsim";
+  scenario.topology = flags.get_string("topology");
+  scenario.seed = flags.get_unsigned("seed");
+  scenario.lambda = flags.get_double("lambda");
+  scenario.mean_holding_s = flags.get_double("holding");
+  scenario.flow_bandwidth_bps = flags.get_double("bandwidth");
+  if (flags.get_string("sources").empty()) {
+    const std::size_t routers = sim::build_scenario_topology(scenario.topology).router_count();
+    for (net::NodeId id = 1; id < routers; id += 2) {
+      scenario.sources.push_back(id);
+    }
+  } else {
+    scenario.sources = parse_nodes(flags.get_string("sources"), "--sources");
   }
-  if (spec == "mci") {
-    return net::topologies::mci_backbone();
+  scenario.algorithm = flags.get_string("algorithm");
+  scenario.max_tries = flags.get_unsigned("retries");
+  scenario.alpha = flags.get_double("alpha");
+  scenario.anycast_share = flags.get_double("share");
+  scenario.group = parse_nodes(flags.get_string("group"), "--group");
+  scenario.failover_readmit = flags.get_bool("failover");
+  scenario.path_repair = flags.get_bool("path-repair");
+  scenario.warmup_s = flags.get_double("warmup");
+  scenario.measure_s = flags.get_double("measure");
+  scenario.drain_to_quiescence = flags.get_bool("drain");
+  scenario.drain_max_events = flags.get_unsigned("drain-max-events");
+  scenario.drain_max_sim_s = flags.get_double("drain-max-sim");
+  if (flags.get_bool("resilient") || flags.get_double("loss") > 0.0 ||
+      flags.get_double("hop-delay") > 0.0) {
+    sim::ScenarioResilience& resilience = scenario.resilience.emplace();
+    resilience.loss_probability = flags.get_double("loss");
+    resilience.hop_delay_s = flags.get_double("hop-delay");
+    resilience.retransmit_timeout_s = flags.get_double("retransmit-timeout");
+    resilience.max_retransmits = flags.get_unsigned("max-retransmits");
+    resilience.orphan_hold_s = flags.get_double("orphan-hold");
   }
-  if (util::starts_with(spec, "line:")) {
-    return net::topologies::line(util::parse_unsigned(spec.substr(5)).value());
+  scenario.axes.link_rate = flags.get_double("fault-rate");
+  scenario.axes.link_mean_repair_s = flags.get_double("fault-repair");
+  scenario.axes.churn_rate = flags.get_double("churn-rate");
+  scenario.axes.churn_mean_down_s = flags.get_double("churn-downtime");
+  if (flags.get_double("node-mtbf") > 0.0) {
+    scenario.axes.node_rate = 1.0 / flags.get_double("node-mtbf");
+    scenario.axes.node_mean_repair_s = flags.get_double("node-mttr");
   }
-  if (util::starts_with(spec, "ring:")) {
-    return net::topologies::ring(util::parse_unsigned(spec.substr(5)).value());
+  // Any engaged failure-plane axis brings a reconvergence policy with it:
+  // routes must eventually route around a dead router, and path repair
+  // re-signals over the post-convergence table by definition.
+  const double reconverge_delay = flags.get_double("reconverge-delay");
+  if (scenario.axes.node_rate > 0.0 || scenario.path_repair || reconverge_delay > 0.0) {
+    scenario.reconvergence = reconverge_delay > 0.0
+                                 ? sim::ScenarioReconvergence{"fixed", reconverge_delay}
+                                 : sim::ScenarioReconvergence{};
   }
-  if (util::starts_with(spec, "star:")) {
-    return net::topologies::star(util::parse_unsigned(spec.substr(5)).value());
+  const bool governor_flags = flags.get_bool("adaptive") || flags.get_bool("breaker") ||
+                              flags.get_double("shed-budget") > 0.0;
+  if (governor_flags || ops_plane(flags)) {
+    sim::ScenarioGovernor& governor = scenario.governor.emplace();
+    governor.window_s = flags.get_double("governor-window");
+    // The ops plane steers through the governor, so an ops-enabled run gets
+    // one even without governor flags — then with both mechanisms engaged.
+    governor.adaptive_retrial = !governor_flags || flags.get_bool("adaptive");
+    governor.member_breakers = !governor_flags || flags.get_bool("breaker");
+    governor.min_tries = flags.get_unsigned("min-retries");
+    governor.breaker_threshold = flags.get_unsigned("breaker-threshold");
+    governor.breaker_cooldown_s = flags.get_double("breaker-cooldown");
+    governor.shed_budget_msgs_per_s = flags.get_double("shed-budget");
+    governor.shed_burst_msgs = flags.get_double("shed-burst");
   }
-  if (util::starts_with(spec, "grid:")) {
-    const auto dims = util::split(spec.substr(5), 'x');
-    util::require(dims.size() == 2, "grid spec is grid:<rows>x<cols>");
-    return net::topologies::grid(util::parse_unsigned(dims[0]).value(),
-                                 util::parse_unsigned(dims[1]).value());
+  if (!flags.get_string("ops-replay").empty()) {
+    std::ifstream replay_file(flags.get_string("ops-replay"));
+    util::require(replay_file.good(), "cannot open ops replay file");
+    scenario.ops = control::load_ops_log(replay_file);
   }
-  if (util::starts_with(spec, "waxman:")) {
-    const auto parts = util::split(spec.substr(7), 'x');
-    util::require(parts.size() == 2, "waxman spec is waxman:<n>x<seed>");
-    return net::topologies::waxman(util::parse_unsigned(parts[0]).value(), 0.6, 0.5,
-                                   util::parse_unsigned(parts[1]).value());
-  }
-  util::require(false, "unknown topology spec '" + spec +
-                           "' (mci, line:N, ring:N, star:N, grid:RxC, waxman:NxSEED)");
-  util::unreachable("build_topology");
+  return scenario;
 }
 
 }  // namespace
@@ -88,9 +136,10 @@ int main(int argc, char** argv) {
   util::CliFlags flags("dacsim", "Configurable DAC anycast-flow simulation");
   flags.add_string("scenario", "",
                    "run this scenario file (sim/scenario.h); replaces the workload/system/"
-                   "fault flags, observability flags still apply");
-  flags.add_string("topology", "mci", "mci | line:N | ring:N | star:N | grid:RxC | waxman:NxSEED");
-  flags.add_string("topology-file", "", "load a topology file instead (see topology_io.h)");
+                   "fault flags, observability flags and --gdi still apply");
+  flags.add_string("topology", "mci",
+                   "mci | line:N | ring:N | star:N | grid:RxC | waxman:NxSEED | file:PATH "
+                   "(a topology file, see topology_io.h)");
   flags.add_string("group", "0,4,8,12,16", "anycast member routers");
   flags.add_string("sources", "", "source routers (default: the paper's odd ids)");
   flags.add_string("algorithm", "ED", "ED | WD/D+H | WD/D+B | SP");
@@ -154,7 +203,9 @@ int main(int argc, char** argv) {
   flags.add_double("profile-interval", 50.0, "sim seconds between profiler checkpoints");
   flags.add_string("ops-port", "", "serve the live ops plane on this TCP port (0 = ephemeral)");
   flags.add_string("ops-log", "", "append applied control directives here (JSONL)");
-  flags.add_string("ops-replay", "", "re-apply a recorded ops log (serverless re-run)");
+  flags.add_string("ops-replay", "",
+                   "re-apply a recorded ops log (serverless re-run; not with --scenario, "
+                   "which carries its own ops)");
   flags.add_double("ops-interval", 50.0, "simulated seconds between ops polls");
   flags.parse(argc, argv);
   if (flags.help_requested()) {
@@ -162,131 +213,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --scenario replaces the whole workload/system/fault surface with one
-  // serialized run description; the flag-driven path below stays the
-  // ns-style front end. Either way the rest of main sees one topology and
-  // one config (references into whichever source was chosen).
-  std::unique_ptr<sim::ScenarioRun> scenario_run;
-  net::Topology flag_topology;
-  sim::SimulationConfig flag_config;
-  std::unique_ptr<net::ReconvergencePolicy> reconvergence;
-  std::unique_ptr<control::OverloadGovernor> governor;
-  if (!flags.get_string("scenario").empty()) {
-    std::ifstream scenario_file(flags.get_string("scenario"));
-    util::require(scenario_file.good(), "cannot open scenario file");
-    std::ostringstream scenario_text;
-    scenario_text << scenario_file.rdbuf();
-    scenario_run = sim::make_scenario_run(sim::load_scenario(scenario_text.str()));
-  } else {
-    flag_topology = build_topology(flags.get_string("topology"), flags.get_string("topology-file"));
-  }
-  const net::Topology& topology = scenario_run != nullptr ? scenario_run->topology : flag_topology;
-  sim::SimulationConfig& config = scenario_run != nullptr ? scenario_run->config : flag_config;
-  if (scenario_run == nullptr) {
-    config.traffic.arrival_rate = flags.get_double("lambda");
-    config.traffic.mean_holding_s = flags.get_double("holding");
-    config.traffic.flow_bandwidth_bps = flags.get_double("bandwidth");
-    if (flags.get_string("sources").empty()) {
-      for (net::NodeId id = 1; id < topology.router_count(); id += 2) {
-        config.traffic.sources.push_back(id);
-      }
-    } else {
-      config.traffic.sources = parse_nodes(flags.get_string("sources"), "--sources");
-    }
-    config.group_members = parse_nodes(flags.get_string("group"), "--group");
-    config.anycast_share = flags.get_double("share");
-    config.use_gdi = flags.get_bool("gdi");
-    config.algorithm = core::parse_algorithm(flags.get_string("algorithm"));
-    config.max_tries = flags.get_unsigned("retries");
-    config.alpha = flags.get_double("alpha");
-    config.warmup_s = flags.get_double("warmup");
-    config.measure_s = flags.get_double("measure");
-    config.seed = flags.get_unsigned("seed");
-    // All three random fault axes come from the one shared scenario builder
-    // (axis streams at seed+1..+3), the same draws a scenario file with the
-    // equivalent `axes` block produces.
-    sim::FaultAxes axes;
-    axes.link_rate = flags.get_double("fault-rate");
-    axes.link_mean_repair_s = flags.get_double("fault-repair");
-    axes.churn_rate = flags.get_double("churn-rate");
-    axes.churn_mean_down_s = flags.get_double("churn-downtime");
-    if (flags.get_double("node-mtbf") > 0.0) {
-      util::require(!config.use_gdi, "node faults require a DAC run (not --gdi)");
-      axes.node_rate = 1.0 / flags.get_double("node-mtbf");
-      axes.node_mean_repair_s = flags.get_double("node-mttr");
-    }
-    sim::ScenarioSchedules schedules = sim::scenario_schedules(
-        topology, config.group_members.size(), config.warmup_s + config.measure_s, axes,
-        config.seed);
-    config.faults = std::move(schedules.link_faults);
-    config.churn = std::move(schedules.churn);
-    config.node_faults = std::move(schedules.node_faults);
-    if (flags.get_bool("resilient") || flags.get_double("loss") > 0.0 ||
-        flags.get_double("hop-delay") > 0.0) {
-      signaling::ResilienceOptions resilience;
-      resilience.faults.loss_probability = flags.get_double("loss");
-      resilience.faults.hop_delay_s = flags.get_double("hop-delay");
-      resilience.retransmit_timeout_s = flags.get_double("retransmit-timeout");
-      resilience.max_retransmits = flags.get_unsigned("max-retransmits");
-      resilience.orphan_hold_s = flags.get_double("orphan-hold");
-      config.resilience = resilience;
-    }
-    config.failover_readmit = flags.get_bool("failover");
-    config.drain_to_quiescence = flags.get_bool("drain");
-    config.drain_max_events = flags.get_unsigned("drain-max-events");
-    config.drain_max_sim_s = flags.get_double("drain-max-sim");
-    // Any engaged failure-plane axis brings a reconvergence policy with it:
-    // routes must eventually route around a dead router, and path repair
-    // re-signals over the post-convergence table by definition.
-    if (!config.node_faults.empty() || flags.get_bool("path-repair") ||
-        flags.get_double("reconverge-delay") > 0.0) {
-      util::require(!config.use_gdi, "reconvergence/path repair require a DAC run (not --gdi)");
-      if (flags.get_double("reconverge-delay") > 0.0) {
-        reconvergence =
-            std::make_unique<net::FixedReconvergence>(flags.get_double("reconverge-delay"));
-      } else {
-        reconvergence = std::make_unique<net::InstantReconvergence>();
-      }
-      config.reconvergence = reconvergence.get();
-      config.path_repair = flags.get_bool("path-repair");
-    }
-  }
-  net::ReconvergencePolicy* reconvergence_in_use =
-      scenario_run != nullptr ? scenario_run->reconvergence.get() : reconvergence.get();
-
-  const std::string ops_port = flags.get_string("ops-port");
-  const std::string ops_replay_path = flags.get_string("ops-replay");
-  util::require(ops_port.empty() || ops_replay_path.empty(),
-                "--ops-port and --ops-replay are mutually exclusive (a replay is serverless)");
-  util::require(scenario_run == nullptr || ops_replay_path.empty(),
+  // One run description either way: the --scenario file or the scenario
+  // the flags write, lowered by the same make_scenario_run. Everything
+  // below only attaches observers to the lowered config.
+  const std::string scenario_path = flags.get_string("scenario");
+  util::require(scenario_path.empty() || flags.get_string("ops-replay").empty(),
                 "--ops-replay conflicts with --scenario (the scenario carries its own ops)");
-  const bool ops_plane =
-      !ops_port.empty() || !ops_replay_path.empty() || !flags.get_string("ops-log").empty();
-  if (scenario_run != nullptr && ops_plane) {
-    util::require(scenario_run->governor != nullptr,
-                  "the ops plane on a scenario run needs the scenario's governor block");
-  }
-
-  const bool governor_flags = flags.get_bool("adaptive") || flags.get_bool("breaker") ||
-                              flags.get_double("shed-budget") > 0.0;
-  if (scenario_run == nullptr && (governor_flags || ops_plane)) {
-    util::require(!config.use_gdi, "the overload governor requires a DAC run (not --gdi)");
-    control::GovernorOptions governor_options;
-    governor_options.window_s = flags.get_double("governor-window");
-    // The ops plane steers through the governor, so an ops-enabled run gets
-    // one even without governor flags — then with both mechanisms engaged.
-    governor_options.adaptive_retrial = governor_flags ? flags.get_bool("adaptive") : true;
-    governor_options.min_tries = flags.get_unsigned("min-retries");
-    governor_options.member_breakers = governor_flags ? flags.get_bool("breaker") : true;
-    governor_options.breaker.failure_threshold = flags.get_unsigned("breaker-threshold");
-    governor_options.breaker.cooldown_s = flags.get_double("breaker-cooldown");
-    governor_options.shed_budget_msgs_per_s = flags.get_double("shed-budget");
-    governor_options.shed_burst_msgs = flags.get_double("shed-burst");
-    governor = std::make_unique<control::OverloadGovernor>(governor_options);
-    config.governor = governor.get();
-  }
-  control::OverloadGovernor* governor_in_use =
-      scenario_run != nullptr ? scenario_run->governor.get() : governor.get();
+  const std::unique_ptr<sim::ScenarioRun> run = sim::make_scenario_run(
+      scenario_path.empty() ? scenario_from_flags(flags) : sim::load_scenario_file(scenario_path));
+  const net::Topology& topology = run->topology;
+  sim::SimulationConfig& config = run->config;
+  config.use_gdi = flags.get_bool("gdi");
 
   // --- Live ops plane (DESIGN.md §13) ---
   // The mailbox outlives the server: the accept thread's control handler
@@ -301,44 +238,14 @@ int main(int argc, char** argv) {
     ops_log = std::make_unique<control::OpsLogWriter>(ops_log_file);
     config.ops_log = ops_log.get();
   }
-  if (!ops_replay_path.empty()) {
-    std::ifstream replay_file(ops_replay_path);
-    util::require(replay_file.good(), "cannot open ops replay file");
-    config.ops_replay = control::load_ops_log(replay_file);
-  }
-  if (!ops_port.empty()) {
+  if (const std::string ops_port = flags.get_string("ops-port"); !ops_port.empty()) {
     const auto port = util::parse_unsigned(ops_port);
     util::require(port.has_value() && *port <= 65'535,
                   "--ops-port must be a TCP port number (0 = ephemeral)");
     obs::OpsServerOptions server_options;
     server_options.port = static_cast<std::uint16_t>(*port);
     ops_server = std::make_unique<obs::OpsServer>(server_options);
-    ops_server->set_control_handler(
-        [&ops_mailbox](const std::string& knob_name, const std::string& body) {
-          obs::ControlOutcome outcome;
-          const std::optional<control::Knob> knob = control::parse_knob(knob_name);
-          if (!knob.has_value()) {
-            outcome.status = 404;
-            outcome.body = "{\"error\":\"unknown knob '" + util::json_escape(knob_name) +
-                           "'\"}\n";
-            return outcome;
-          }
-          const std::optional<double> value = util::parse_double(util::trim(body));
-          if (!value.has_value()) {
-            outcome.status = 422;
-            outcome.body = "{\"error\":\"body must be a single number\"}\n";
-            return outcome;
-          }
-          if (const auto error = control::validate_directive(*knob, *value)) {
-            outcome.status = 422;
-            outcome.body = "{\"error\":\"" + util::json_escape(*error) + "\"}\n";
-            return outcome;
-          }
-          ops_mailbox.post({*knob, *value});
-          outcome.body = "{\"queued\":{\"knob\":\"" + control::to_string(*knob) +
-                         "\",\"value\":" + std::string(util::trim(body)) + "}}\n";
-          return outcome;
-        });
+    ops_server->set_control_handler(obs::mailbox_control_handler(ops_mailbox));
     ops_server->start();
     config.ops_server = ops_server.get();
     config.ops_mailbox = &ops_mailbox;
@@ -347,7 +254,7 @@ int main(int argc, char** argv) {
     std::cout << "ops server        http://127.0.0.1:" << ops_server->port()
               << "  (GET /metrics /healthz /status, POST /control/<knob>)" << std::endl;
   }
-  if (ops_plane) {
+  if (ops_plane(flags)) {
     config.ops_interval_s = flags.get_double("ops-interval");
   }
 
@@ -460,9 +367,9 @@ int main(int argc, char** argv) {
               << result.failover_admitted << "/" << result.failover_attempts
               << " re-admitted\n";
   }
-  if (reconvergence_in_use != nullptr) {
+  if (run->reconvergence != nullptr) {
     std::cout << "failure plane     " << result.node_outages << " node outages, "
-              << result.reconvergences << " reconvergences (" << reconvergence_in_use->name()
+              << result.reconvergences << " reconvergences (" << run->reconvergence->name()
               << " policy)\n";
     if (config.path_repair) {
       std::cout << "path repair       " << result.repaired << " repaired, "
@@ -478,18 +385,18 @@ int main(int argc, char** argv) {
               << util::format_fixed(result.resilience.orphaned_bandwidth_reclaimed_bps / 1e6, 2)
               << " Mbit/s)\n";
   }
-  if (governor_in_use != nullptr) {
-    const control::GovernorStats& gov = governor_in_use->stats();
-    std::cout << "overload governor R " << governor_in_use->effective_max_tries() << "/"
-              << governor_in_use->max_tries_ceiling() << " effective/ceiling, " << gov.windows
+  if (const control::OverloadGovernor* governor = run->governor.get(); governor != nullptr) {
+    const control::GovernorStats& gov = governor->stats();
+    std::cout << "overload governor R " << governor->effective_max_tries() << "/"
+              << governor->max_tries_ceiling() << " effective/ceiling, " << gov.windows
               << " windows (" << gov.tighten_steps << " tightened, " << gov.relax_steps
               << " relaxed)\n";
-    if (governor_in_use->options().member_breakers) {
+    if (governor->options().member_breakers) {
       std::cout << "member breakers   " << gov.breaker_trips << " trips, "
                 << gov.breaker_probes << " probes, " << gov.breaker_closes << " closes, "
-                << governor_in_use->open_breakers() << " open at end\n";
+                << governor->open_breakers() << " open at end\n";
     }
-    if (governor_in_use->options().shed_budget_msgs_per_s > 0.0) {
+    if (governor->options().shed_budget_msgs_per_s > 0.0) {
       std::cout << "load shedding     " << result.shed
                 << " requests fast-rejected (measured window; lifetime " << gov.shed << ")\n";
     }
@@ -498,10 +405,10 @@ int main(int argc, char** argv) {
     std::cout << "ops server        " << ops_server->requests_served() << " requests served, "
               << simulation.ops_directives_applied() << " directives applied\n";
   }
-  if (!ops_replay_path.empty()) {
+  if (!flags.get_string("ops-replay").empty()) {
     std::cout << "ops replay        " << simulation.ops_directives_applied() << "/"
-              << config.ops_replay.size() << " directives re-applied from " << ops_replay_path
-              << "\n";
+              << config.ops_replay.size() << " directives re-applied from "
+              << flags.get_string("ops-replay") << "\n";
   }
   if (ops_log != nullptr) {
     std::cout << "ops log           " << ops_log->entries() << " entries -> "

@@ -1,18 +1,21 @@
 // Fault recovery time series: what an outage looks like to an anycast
 // service, minute by minute.
 //
-// Runs the paper model with one scheduled backbone outage, attaches a
-// TimeSeriesProbe to the simulation kernel, and prints an ASCII strip chart
-// of active flows and mean link utilization around the failure/repair —
-// the view an operator's dashboard would show. Also demonstrates the CSV
-// trace hook for offline analysis.
+// Runs the paper model with one scheduled backbone outage, attaches an
+// obs::Timeline through SimulationConfig::timeline, and prints an ASCII
+// strip chart of its active_flows column and the mean of its per-link
+// util: columns around the failure/repair — the view an operator's
+// dashboard would show. The Timeline samples at the end of each window, so
+// the chart's first point is at t = one sampling period, not t = 0.
 //
 //   $ ./fault_recovery --fail-at=3000 --repair-at=4500
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "src/obs/timeline.h"
 #include "src/sim/experiment.h"
 #include "src/sim/faults.h"
-#include "src/sim/timeseries.h"
 #include "src/util/cli.h"
 #include "src/util/strings.h"
 
@@ -20,16 +23,17 @@ namespace {
 
 using namespace anyqos;
 
-void strip_chart(const sim::TimeSeries& series, double fail_at, double repair_at) {
+void strip_chart(const std::vector<obs::TimelineSample>& samples,
+                 const std::vector<double>& values, double fail_at, double repair_at) {
   double peak = 1.0;
-  for (const double v : series.values) {
+  for (const double v : values) {
     peak = std::max(peak, v);
   }
   constexpr int kWidth = 60;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const int bar = static_cast<int>(series.values[i] / peak * kWidth);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const int bar = static_cast<int>(values[i] / peak * kWidth);
     std::string line(static_cast<std::size_t>(bar), '#');
-    const double t = series.times[i];
+    const double t = samples[i].time;
     const char* marker = "";
     if (t >= fail_at && t < fail_at + 120.0) {
       marker = "  <- LINK DOWN";
@@ -37,7 +41,7 @@ void strip_chart(const sim::TimeSeries& series, double fail_at, double repair_at
       marker = "  <- REPAIRED";
     }
     std::cout << util::format_fixed(t, 0) << "s\t" << line
-              << " " << util::format_fixed(series.values[i], 0) << marker << "\n";
+              << " " << util::format_fixed(values[i], 0) << marker << "\n";
   }
 }
 
@@ -67,29 +71,37 @@ int main(int argc, char** argv) {
   config.seed = 5;
   // Kill the busiest central link (CHI-DCA in the MCI-like map).
   config.faults.push_back(sim::single_fault(8, 12, fail_at, repair_at));
+  obs::TimelineOptions timeline_options;
+  timeline_options.interval_s = flags.get_double("sample");
+  obs::Timeline timeline(timeline_options);
+  config.timeline = &timeline;
 
   sim::Simulation simulation(model.topology, config);
-  sim::TimeSeriesProbe probe(simulation.simulator(), 0.0, flags.get_double("sample"));
-  probe.add_gauge("active_flows",
-                  [&] { return static_cast<double>(simulation.active_flows()); });
-  probe.add_gauge("mean_utilization", [&] {
-    double total = 0.0;
-    for (net::LinkId id = 0; id < model.topology.link_count(); ++id) {
-      total += simulation.ledger().utilization(id);
-    }
-    return 100.0 * total / static_cast<double>(model.topology.link_count());
-  });
-  probe.arm();
-
   const sim::SimulationResult result = simulation.run();
-  probe.disarm();
+
+  std::vector<double> active_flows;
+  std::vector<double> mean_utilization;  // percent, over every directed link
+  for (const obs::TimelineSample& sample : timeline.samples()) {
+    double utilization = 0.0;
+    std::size_t links = 0;
+    for (std::size_t column = 0; column < timeline.columns().size(); ++column) {
+      const std::string& name = timeline.columns()[column].name;
+      if (name == "active_flows") {
+        active_flows.push_back(sample.values[column]);
+      } else if (util::starts_with(name, "util:")) {
+        utilization += sample.values[column];
+        ++links;
+      }
+    }
+    mean_utilization.push_back(100.0 * utilization / static_cast<double>(links));
+  }
 
   std::cout << "Outage of link CHI-DCA from t=" << fail_at << "s to t=" << repair_at
             << "s under <WD/D+H,2> at lambda=" << flags.get_double("lambda") << "/s\n\n"
             << "Active flows over time:\n";
-  strip_chart(probe.series("active_flows"), fail_at, repair_at);
+  strip_chart(timeline.samples(), active_flows, fail_at, repair_at);
   std::cout << "\nMean link utilization (%) over time:\n";
-  strip_chart(probe.series("mean_utilization"), fail_at, repair_at);
+  strip_chart(timeline.samples(), mean_utilization, fail_at, repair_at);
   std::cout << "\nRun summary: AP " << util::format_fixed(result.admission_probability, 4)
             << ", dropped by the outage " << result.dropped << " flows, avg tries "
             << util::format_fixed(result.average_attempts, 3) << "\n"

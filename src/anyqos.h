@@ -76,7 +76,6 @@
 #include "src/sim/multi_group.h"
 #include "src/sim/replicate.h"
 #include "src/sim/simulation.h"
-#include "src/sim/timeseries.h"
 #include "src/sim/trace.h"
 #include "src/sim/traffic.h"
 #include "src/stats/accumulator.h"

@@ -1,13 +1,6 @@
 #include "src/audit/chaos_oracle.h"
 
-#include <memory>
-#include <sstream>
-#include <utility>
-
-#include "src/audit/auditor.h"
 #include "src/control/governor.h"
-#include "src/obs/flight_recorder.h"
-#include "src/obs/span.h"
 #include "src/util/require.h"
 
 namespace anyqos::audit {
@@ -22,77 +15,100 @@ bool reconciliation_checkable(const sim::Scenario& scenario) {
          scenario.resilience.has_value();
 }
 
+obs::FlightRecorderOptions flight_options(const ChaosOracleOptions& options) {
+  obs::FlightRecorderOptions flight;
+  flight.depth = options.flight_depth;
+  return flight;
+}
+
+AuditorOptions auditor_options(const ChaosOracleOptions& options) {
+  AuditorOptions audit;
+  audit.throw_on_violation = true;
+  audit.checkpoint_interval_s = options.checkpoint_interval_s;
+  return audit;
+}
+
 }  // namespace
 
-ChaosOracleOutcome run_chaos_oracle(const sim::Scenario& scenario,
-                                    const ChaosOracleOptions& options) {
-  ChaosOracleOutcome outcome;
-
-  // Phase 1: lower the scenario onto the simulation API. Failures here are
-  // the scenario's fault (bad member index, unknown knob, fault on a
-  // missing link), not the model's — classified separately so the shrinker
-  // can never "minimize" a model bug into a validation error.
-  std::unique_ptr<sim::ScenarioRun> run;
-  std::unique_ptr<sim::Simulation> simulation;
-  obs::DecisionTracer tracer;
-  std::ostringstream flight_buffer;
-  obs::FlightRecorderOptions flight_options;
-  flight_options.depth = options.flight_depth;
-  obs::FlightRecorder recorder(flight_options);
-  recorder.set_output(&flight_buffer);
-  tracer.set_sink(&recorder.span_sink());
-  AuditorOptions audit_options;
-  audit_options.throw_on_violation = true;
-  audit_options.checkpoint_interval_s = options.checkpoint_interval_s;
-  InvariantAuditor auditor(audit_options);
+ChaosOracle::ChaosOracle(const sim::Scenario& scenario, const ChaosOracleOptions& options)
+    : options_(options),
+      reconciliation_checkable_(reconciliation_checkable(scenario)),
+      recorder_(flight_options(options)),
+      auditor_(auditor_options(options)) {
+  recorder_.set_output(&flight_buffer_);
+  tracer_.set_sink(&recorder_.span_sink());
+  auditor_.set_violation_hook([this](const Violation& violation) {
+    recorder_.trigger(violation.sim_time, "audit " + to_string(violation.check));
+  });
+  // Lowering failures are the scenario's fault (bad member index, unknown
+  // knob, fault on a missing link), not the model's — classified separately
+  // so the shrinker can never "minimize" a model bug into a validation error.
   try {
-    run = sim::make_scenario_run(scenario);
-    run->config.defeat_duplex_idempotency = options.defeat_duplex_idempotency;
-    if (run->config.drain_to_quiescence) {
-      if (run->config.drain_max_events == 0) {
-        run->config.drain_max_events = options.fallback_drain_max_events;
-      }
-      if (run->config.drain_max_sim_s == 0.0) {
-        run->config.drain_max_sim_s = options.fallback_drain_max_sim_s;
-      }
-    }
-    run->config.trace = options.trace;
-    run->config.tracer = &tracer;
-    run->config.flight_recorder = &recorder;
-    simulation = std::make_unique<sim::Simulation>(run->topology, run->config);
-    auditor.attach(*simulation);
+    run_ = sim::make_scenario_run(scenario);
   } catch (const std::exception& error) {
-    outcome.violation_class = std::string("invalid:") + error.what();
+    invalid_ = error.what();
+    return;
+  }
+  sim::SimulationConfig& config = run_->config;
+  config.defeat_duplex_idempotency = options_.defeat_duplex_idempotency;
+  if (config.drain_to_quiescence) {
+    if (config.drain_max_events == 0) {
+      config.drain_max_events = options_.fallback_drain_max_events;
+    }
+    if (config.drain_max_sim_s == 0.0) {
+      config.drain_max_sim_s = options_.fallback_drain_max_sim_s;
+    }
+  }
+  config.trace = options_.trace;
+  config.tracer = &tracer_;
+  config.flight_recorder = &recorder_;
+}
+
+ChaosOracleOutcome ChaosOracle::run() {
+  util::require(simulation_ == nullptr, "a ChaosOracle runs once");
+  ChaosOracleOutcome outcome;
+  // Step 3a: the Simulation constructor is the last validation stage, so
+  // its rejections are invalid: too.
+  if (invalid_.empty()) {
+    try {
+      simulation_ = std::make_unique<sim::Simulation>(run_->topology, run_->config);
+      auditor_.attach(*simulation_);
+    } catch (const std::exception& error) {
+      invalid_ = error.what();
+    }
+  }
+  if (!invalid_.empty()) {
+    outcome.violation_class = "invalid:" + invalid_;
     outcome.detail = "scenario rejected before run";
     return outcome;
   }
-  auditor.set_violation_hook([&recorder](const Violation& violation) {
-    recorder.trigger(violation.sim_time, "audit " + to_string(violation.check));
-  });
 
-  // Phase 2: run under the throwing auditor. An InvariantError with a
+  // Step 3b: run under the throwing auditor. An InvariantError with a
   // non-empty audit log is an audit violation; anything else the model
   // threw is its own class (the ledger's preconditions, most notably).
   try {
-    outcome.result = simulation->run();
+    outcome.result = simulation_->run();
     outcome.ran = true;
   } catch (const std::exception& error) {
-    outcome.audit_log = auditor.log().to_text();
-    if (!auditor.log().empty()) {
-      outcome.violation_class =
-          "audit:" + to_string(auditor.log().entries().back().check);
+    outcome.audit_log = auditor_.log().to_text();
+    if (!auditor_.log().empty()) {
+      outcome.violation_class = "audit:" + to_string(auditor_.log().entries().back().check);
     } else {
       outcome.violation_class = std::string("exception:") + error.what();
     }
     outcome.detail = error.what();
-    outcome.flight_dump = flight_buffer.str();
+    outcome.flight_dump = flight_buffer_.str();
     return outcome;
   }
+  // The flight dump (if any trigger fired mid-run) rides along either way.
+  outcome.flight_dump = flight_buffer_.str();
+  judge(outcome);
+  return outcome;
+}
 
-  // Phase 3: post-run gates, most severe first. The flight dump (if any
-  // trigger fired mid-run) rides along either way.
-  outcome.flight_dump = flight_buffer.str();
-  const sim::DrainWatchdogReport& watchdog = simulation->drain_watchdog();
+void ChaosOracle::judge(ChaosOracleOutcome& outcome) const {
+  const sim::Simulation& simulation = *simulation_;
+  const sim::DrainWatchdogReport& watchdog = simulation.drain_watchdog();
   if (watchdog.tripped) {
     outcome.violation_class = "hang:" + watchdog.reason;
     std::ostringstream detail;
@@ -100,47 +116,49 @@ ChaosOracleOutcome run_chaos_oracle(const sim::Scenario& scenario,
            << watchdog.pending_events << " pending events, " << watchdog.active_flows
            << " active flows after " << watchdog.drained_events << " drained events";
     outcome.detail = detail.str();
-    return outcome;
+    return;
   }
-  if (run->config.drain_to_quiescence) {
+  if (run_->config.drain_to_quiescence) {
     auto leak = [&outcome](const char* kind, std::uint64_t amount) {
       outcome.violation_class = std::string("leak:") + kind;
       outcome.detail = std::string(kind) + " survived the drain (" +
                        std::to_string(amount) + ")";
     };
-    auto* resilient = simulation->resilient();
-    if (simulation->ledger().total_reserved() > 0.0) {
-      leak("reserved", static_cast<std::uint64_t>(simulation->ledger().total_reserved()));
-      return outcome;
+    const auto* resilient = simulation.resilient();
+    if (simulation.ledger().total_reserved() > 0.0) {
+      leak("reserved", static_cast<std::uint64_t>(simulation.ledger().total_reserved()));
+      return;
     }
-    if (simulation->active_flows() > 0) {
-      leak("flows", simulation->active_flows());
-      return outcome;
+    if (simulation.active_flows() > 0) {
+      leak("flows", simulation.active_flows());
+      return;
     }
     if (resilient != nullptr && resilient->pending_orphans() > 0) {
       leak("orphans", resilient->pending_orphans());
-      return outcome;
+      return;
     }
-    if (simulation->pending_repairs() > 0) {
-      leak("repairs", simulation->pending_repairs());
-      return outcome;
+    if (simulation.pending_repairs() > 0) {
+      leak("repairs", simulation.pending_repairs());
+      return;
     }
   }
-  if (reconciliation_checkable(scenario) &&
+  if (reconciliation_checkable_ &&
       outcome.result.resilience.hops_counted != outcome.result.messages.total()) {
     outcome.violation_class = "unreconciled";
     outcome.detail = "hop mirror " + std::to_string(outcome.result.resilience.hops_counted) +
-                     " != message counter " +
-                     std::to_string(outcome.result.messages.total());
-    return outcome;
+                     " != message counter " + std::to_string(outcome.result.messages.total());
+    return;
   }
-  if (run->governor != nullptr && run->governor->open_breakers() > 0) {
+  if (run_->governor != nullptr && run_->governor->open_breakers() > 0) {
     outcome.violation_class = "breaker-open";
-    outcome.detail = std::to_string(run->governor->open_breakers()) +
+    outcome.detail = std::to_string(run_->governor->open_breakers()) +
                      " breakers still Open after the drain";
-    return outcome;
   }
-  return outcome;
+}
+
+ChaosOracleOutcome run_chaos_oracle(const sim::Scenario& scenario,
+                                    const ChaosOracleOptions& options) {
+  return ChaosOracle(scenario, options).run();
 }
 
 }  // namespace anyqos::audit

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "src/util/annotations.h"
+#include "src/util/json.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
@@ -290,6 +291,33 @@ void OpsServer::publish_health(double sim_now, std::uint64_t events_dispatched,
   body += draining ? "true" : "false";
   body += "}\n";
   publish("/healthz", "application/json", std::move(body));
+}
+
+OpsServer::ControlHandler mailbox_control_handler(control::DirectiveMailbox& mailbox) {
+  return [&mailbox](const std::string& knob_name, const std::string& body) {
+    ControlOutcome outcome;
+    const std::optional<control::Knob> knob = control::parse_knob(knob_name);
+    if (!knob.has_value()) {
+      outcome.status = 404;
+      outcome.body = "{\"error\":\"unknown knob '" + util::json_escape(knob_name) + "'\"}\n";
+      return outcome;
+    }
+    const std::optional<double> value = util::parse_double(util::trim(body));
+    if (!value.has_value()) {
+      outcome.status = 422;
+      outcome.body = "{\"error\":\"body must be a single number\"}\n";
+      return outcome;
+    }
+    if (const auto error = control::validate_directive(*knob, *value)) {
+      outcome.status = 422;
+      outcome.body = "{\"error\":\"" + util::json_escape(*error) + "\"}\n";
+      return outcome;
+    }
+    mailbox.post({*knob, *value});
+    outcome.body = "{\"queued\":{\"knob\":\"" + control::to_string(*knob) +
+                   "\",\"value\":" + util::json_number(*value) + "}}\n";
+    return outcome;
+  };
 }
 
 }  // namespace anyqos::obs

@@ -31,6 +31,7 @@
 #include <string>
 #include <thread>
 
+#include "src/control/directive.h"
 #include "src/obs/http.h"
 
 namespace anyqos::obs {
@@ -117,5 +118,12 @@ class OpsServer {
   double last_health_wall_s_ = 0.0;
   std::uint64_t last_health_events_ = 0;
 };
+
+/// The POST /control/<knob> handler every front end installs: an unknown
+/// knob is 404, a body that is not one number or a value outside the knob's
+/// domain (control::validate_directive) is 422, and anything else is posted
+/// to `mailbox` and answered 200 with the queued directive. Pure validation
+/// plus a post, as ControlHandler requires; `mailbox` must outlive the server.
+OpsServer::ControlHandler mailbox_control_handler(control::DirectiveMailbox& mailbox);
 
 }  // namespace anyqos::obs

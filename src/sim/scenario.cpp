@@ -1,11 +1,15 @@
 #include "src/sim/scenario.h"
 
 #include <cmath>
+#include <fstream>
 #include <initializer_list>
+#include <limits>
+#include <sstream>
 #include <utility>
 
 #include "src/core/selector.h"
 #include "src/net/topologies.h"
+#include "src/net/topology_io.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
@@ -16,6 +20,13 @@ using util::JsonValue;
 
 [[noreturn]] void fail(std::string_view where, const std::string& what) {
   throw std::invalid_argument("scenario: " + std::string(where) + ": " + what);
+}
+
+std::string quoted(std::string_view key) {
+  std::string text = "\"";
+  text += key;
+  text += '"';
+  return text;
 }
 
 /// Typo safety for repro files: every object's keys must come from its
@@ -32,76 +43,95 @@ void check_keys(const JsonValue& object, std::string_view where,
       }
     }
     if (!known) {
-      fail(where, "unknown key \"" + key + "\"");
+      fail(where, "unknown key " + quoted(key));
     }
   }
 }
 
+/// The other half of typo safety: every key save_scenario writes is
+/// required, so no file leans on a reader default that could later move.
+const JsonValue& field(const JsonValue& object, std::string_view where, std::string_view key) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) {
+    fail(where, "missing key " + quoted(key));
+  }
+  return *value;
+}
+
+/// Domains the reader bounds itself, for values nothing downstream checks
+/// (ED ignores alpha, a zero-rate axis never draws). Workload rates, shares
+/// and router ranges are left to make_scenario_run and the Simulation
+/// constructor.
+enum class Domain : std::uint8_t { kNonNegative, kPositive, kUnit };
+
+double get_number(const JsonValue& object, std::string_view where, std::string_view key) {
+  const JsonValue& value = field(object, where, key);
+  if (!value.is_number()) {
+    fail(where, quoted(key) + " must be a number");
+  }
+  return value.as_number();
+}
+
 double get_number(const JsonValue& object, std::string_view where, std::string_view key,
-                  double fallback) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    return fallback;
+                  Domain domain) {
+  const double number = get_number(object, where, key);
+  if (domain == Domain::kNonNegative && !(number >= 0.0)) {
+    fail(where, quoted(key) + " must be non-negative");
   }
-  if (!value->is_number()) {
-    fail(where, "\"" + std::string(key) + "\" must be a number");
+  if (domain == Domain::kPositive && !(number > 0.0)) {
+    fail(where, quoted(key) + " must be positive");
   }
-  return value->as_number();
+  if (domain == Domain::kUnit && !(number >= 0.0 && number <= 1.0)) {
+    fail(where, quoted(key) + " must lie in [0, 1]");
+  }
+  return number;
 }
 
-std::uint64_t get_uint(const JsonValue& object, std::string_view where, std::string_view key,
-                       std::uint64_t fallback) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    return fallback;
+/// A non-negative integer that fits `T` (NodeId, a size_t count, the
+/// 64-bit seed). JSON numbers are doubles, and every integral double below
+/// 2^digits(T) converts exactly — a seed above 2^53 loads as the double it
+/// was saved as, while 2^32 never wraps to router 0.
+template <typename T>
+T as_uint(const JsonValue& value, std::string_view where, std::string_view key) {
+  constexpr double kLimit = static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  if (!value.is_number() || !(value.as_number() >= 0.0) || !(value.as_number() < kLimit) ||
+      value.as_number() != std::floor(value.as_number())) {
+    fail(where, quoted(key) + " must be an integer in [0, 2^" +
+                    std::to_string(std::numeric_limits<T>::digits) + ")");
   }
-  if (!value->is_number() || value->as_number() < 0.0 ||
-      value->as_number() != std::floor(value->as_number())) {
-    fail(where, "\"" + std::string(key) + "\" must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value->as_number());
+  return static_cast<T>(value.as_number());
 }
 
-bool get_bool(const JsonValue& object, std::string_view where, std::string_view key,
-              bool fallback) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    return fallback;
-  }
-  if (!value->is_bool()) {
-    fail(where, "\"" + std::string(key) + "\" must be a boolean");
-  }
-  return value->as_bool();
+template <typename T>
+T get_uint(const JsonValue& object, std::string_view where, std::string_view key) {
+  return as_uint<T>(field(object, where, key), where, key);
 }
 
-std::string get_string(const JsonValue& object, std::string_view where, std::string_view key,
-                       std::string fallback) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) {
-    return fallback;
+bool get_bool(const JsonValue& object, std::string_view where, std::string_view key) {
+  const JsonValue& value = field(object, where, key);
+  if (!value.is_bool()) {
+    fail(where, quoted(key) + " must be a boolean");
   }
-  if (!value->is_string()) {
-    fail(where, "\"" + std::string(key) + "\" must be a string");
+  return value.as_bool();
+}
+
+std::string get_string(const JsonValue& object, std::string_view where, std::string_view key) {
+  const JsonValue& value = field(object, where, key);
+  if (!value.is_string()) {
+    fail(where, quoted(key) + " must be a string");
   }
-  return value->as_string();
+  return value.as_string();
 }
 
 std::vector<net::NodeId> get_nodes(const JsonValue& object, std::string_view where,
                                    std::string_view key) {
-  const JsonValue* value = object.find(key);
+  const JsonValue& value = field(object, where, key);
+  if (!value.is_array()) {
+    fail(where, quoted(key) + " must be an array of node ids");
+  }
   std::vector<net::NodeId> nodes;
-  if (value == nullptr) {
-    return nodes;
-  }
-  if (!value->is_array()) {
-    fail(where, "\"" + std::string(key) + "\" must be an array of node ids");
-  }
-  for (const JsonValue& element : value->as_array()) {
-    if (!element.is_number() || element.as_number() < 0.0 ||
-        element.as_number() != std::floor(element.as_number())) {
-      fail(where, "\"" + std::string(key) + "\" entries must be non-negative integers");
-    }
-    nodes.push_back(static_cast<net::NodeId>(element.as_number()));
+  for (const JsonValue& element : value.as_array()) {
+    nodes.push_back(as_uint<net::NodeId>(element, where, key));
   }
   return nodes;
 }
@@ -121,6 +151,9 @@ bool axes_enabled(const FaultAxes& axes) {
 }  // namespace
 
 net::Topology build_scenario_topology(const std::string& spec) {
+  if (util::starts_with(spec, "file:")) {
+    return net::load_topology(spec.substr(5));
+  }
   if (spec == "mci") {
     return net::topologies::mci_backbone();
   }
@@ -146,7 +179,7 @@ net::Topology build_scenario_topology(const std::string& spec) {
                                    util::parse_unsigned(parts[1]).value());
   }
   util::require(false, "unknown topology spec '" + spec +
-                           "' (mci, line:N, ring:N, star:N, grid:RxC, waxman:NxSEED)");
+                           "' (mci, line:N, ring:N, star:N, grid:RxC, waxman:NxSEED, file:PATH)");
   util::unreachable("build_scenario_topology");
 }
 
@@ -297,144 +330,130 @@ Scenario scenario_from_json(const util::JsonValue& document) {
              {"schema", "name", "topology", "seed", "workload", "system", "run",
               "resilience", "reconvergence", "governor", "axes", "link_faults", "churn",
               "node_faults", "regional_outages", "ops"});
-  const std::string schema = get_string(document, "document", "schema", "");
+  const std::string schema = get_string(document, "document", "schema");
   if (schema != kScenarioSchema) {
     fail("document", "schema must be \"" + std::string(kScenarioSchema) + "\" (got \"" +
                          schema + "\")");
   }
 
   Scenario scenario;
-  scenario.name = get_string(document, "document", "name", scenario.name);
-  scenario.topology = get_string(document, "document", "topology", scenario.topology);
-  scenario.seed = get_uint(document, "document", "seed", scenario.seed);
+  scenario.name = get_string(document, "document", "name");
+  if (scenario.name.empty()) {
+    fail("document", "\"name\" must be non-empty");
+  }
+  scenario.topology = get_string(document, "document", "topology");
+  scenario.seed = get_uint<std::uint64_t>(document, "document", "seed");
 
-  if (const JsonValue* workload = document.find("workload"); workload != nullptr) {
-    check_keys(*workload, "workload",
-               {"lambda", "mean_holding_s", "flow_bandwidth_bps", "sources"});
-    scenario.lambda = get_number(*workload, "workload", "lambda", scenario.lambda);
-    scenario.mean_holding_s =
-        get_number(*workload, "workload", "mean_holding_s", scenario.mean_holding_s);
-    scenario.flow_bandwidth_bps = get_number(*workload, "workload", "flow_bandwidth_bps",
-                                             scenario.flow_bandwidth_bps);
-    scenario.sources = get_nodes(*workload, "workload", "sources");
-  }
-  if (const JsonValue* system = document.find("system"); system != nullptr) {
-    check_keys(*system, "system",
-               {"algorithm", "max_tries", "alpha", "anycast_share", "group",
-                "failover_readmit", "path_repair"});
-    scenario.algorithm = get_string(*system, "system", "algorithm", scenario.algorithm);
-    scenario.max_tries = static_cast<std::size_t>(
-        get_uint(*system, "system", "max_tries", scenario.max_tries));
-    scenario.alpha = get_number(*system, "system", "alpha", scenario.alpha);
-    scenario.anycast_share =
-        get_number(*system, "system", "anycast_share", scenario.anycast_share);
-    scenario.group = get_nodes(*system, "system", "group");
-    scenario.failover_readmit =
-        get_bool(*system, "system", "failover_readmit", scenario.failover_readmit);
-    scenario.path_repair = get_bool(*system, "system", "path_repair", scenario.path_repair);
-  }
-  if (const JsonValue* run = document.find("run"); run != nullptr) {
-    check_keys(*run, "run",
-               {"warmup_s", "measure_s", "drain_to_quiescence", "drain_max_events",
-                "drain_max_sim_s"});
-    scenario.warmup_s = get_number(*run, "run", "warmup_s", scenario.warmup_s);
-    scenario.measure_s = get_number(*run, "run", "measure_s", scenario.measure_s);
-    scenario.drain_to_quiescence =
-        get_bool(*run, "run", "drain_to_quiescence", scenario.drain_to_quiescence);
-    scenario.drain_max_events = static_cast<std::size_t>(
-        get_uint(*run, "run", "drain_max_events", scenario.drain_max_events));
-    scenario.drain_max_sim_s =
-        get_number(*run, "run", "drain_max_sim_s", scenario.drain_max_sim_s);
-  }
+  const JsonValue& workload = field(document, "document", "workload");
+  check_keys(workload, "workload", {"lambda", "mean_holding_s", "flow_bandwidth_bps", "sources"});
+  scenario.lambda = get_number(workload, "workload", "lambda");
+  scenario.mean_holding_s = get_number(workload, "workload", "mean_holding_s");
+  scenario.flow_bandwidth_bps = get_number(workload, "workload", "flow_bandwidth_bps");
+  scenario.sources = get_nodes(workload, "workload", "sources");
+
+  const JsonValue& system = field(document, "document", "system");
+  check_keys(system, "system",
+             {"algorithm", "max_tries", "alpha", "anycast_share", "group", "failover_readmit",
+              "path_repair"});
+  scenario.algorithm = get_string(system, "system", "algorithm");
+  scenario.max_tries = get_uint<std::size_t>(system, "system", "max_tries");
+  // Only the WD/D+H selector reads (and range-checks) alpha.
+  scenario.alpha = get_number(system, "system", "alpha", Domain::kUnit);
+  scenario.anycast_share = get_number(system, "system", "anycast_share");
+  scenario.group = get_nodes(system, "system", "group");
+  scenario.failover_readmit = get_bool(system, "system", "failover_readmit");
+  scenario.path_repair = get_bool(system, "system", "path_repair");
+
+  const JsonValue& run = field(document, "document", "run");
+  check_keys(run, "run",
+             {"warmup_s", "measure_s", "drain_to_quiescence", "drain_max_events",
+              "drain_max_sim_s"});
+  scenario.warmup_s = get_number(run, "run", "warmup_s");
+  scenario.measure_s = get_number(run, "run", "measure_s");
+  scenario.drain_to_quiescence = get_bool(run, "run", "drain_to_quiescence");
+  scenario.drain_max_events = get_uint<std::size_t>(run, "run", "drain_max_events");
+  scenario.drain_max_sim_s = get_number(run, "run", "drain_max_sim_s");
+
   if (const JsonValue* block = document.find("resilience"); block != nullptr) {
     check_keys(*block, "resilience",
                {"loss_probability", "hop_delay_s", "hop_jitter_s", "retransmit_timeout_s",
                 "backoff_factor", "backoff_jitter", "max_retransmits", "orphan_hold_s"});
-    ScenarioResilience r;
-    r.loss_probability =
-        get_number(*block, "resilience", "loss_probability", r.loss_probability);
-    r.hop_delay_s = get_number(*block, "resilience", "hop_delay_s", r.hop_delay_s);
-    r.hop_jitter_s = get_number(*block, "resilience", "hop_jitter_s", r.hop_jitter_s);
-    r.retransmit_timeout_s =
-        get_number(*block, "resilience", "retransmit_timeout_s", r.retransmit_timeout_s);
-    r.backoff_factor = get_number(*block, "resilience", "backoff_factor", r.backoff_factor);
-    r.backoff_jitter = get_number(*block, "resilience", "backoff_jitter", r.backoff_jitter);
-    r.max_retransmits = static_cast<std::size_t>(
-        get_uint(*block, "resilience", "max_retransmits", r.max_retransmits));
-    r.orphan_hold_s = get_number(*block, "resilience", "orphan_hold_s", r.orphan_hold_s);
-    scenario.resilience = r;
+    ScenarioResilience& r = scenario.resilience.emplace();
+    r.loss_probability = get_number(*block, "resilience", "loss_probability");
+    r.hop_delay_s = get_number(*block, "resilience", "hop_delay_s");
+    r.hop_jitter_s = get_number(*block, "resilience", "hop_jitter_s");
+    r.retransmit_timeout_s = get_number(*block, "resilience", "retransmit_timeout_s");
+    r.backoff_factor = get_number(*block, "resilience", "backoff_factor");
+    r.backoff_jitter = get_number(*block, "resilience", "backoff_jitter", Domain::kUnit);
+    r.max_retransmits = get_uint<std::size_t>(*block, "resilience", "max_retransmits");
+    r.orphan_hold_s = get_number(*block, "resilience", "orphan_hold_s");
   }
   if (const JsonValue* block = document.find("reconvergence"); block != nullptr) {
     check_keys(*block, "reconvergence", {"policy", "param_s"});
-    ScenarioReconvergence r;
-    r.policy = get_string(*block, "reconvergence", "policy", r.policy);
-    r.param_s = get_number(*block, "reconvergence", "param_s", r.param_s);
+    ScenarioReconvergence& r = scenario.reconvergence.emplace();
+    r.policy = get_string(*block, "reconvergence", "policy");
+    // The instant policy ignores param_s, so it is bounded here.
+    r.param_s = get_number(*block, "reconvergence", "param_s", Domain::kNonNegative);
     if (r.policy != "instant" && r.policy != "fixed" && r.policy != "flooding") {
       fail("reconvergence", "policy must be instant, fixed, or flooding");
     }
-    scenario.reconvergence = r;
   }
   if (const JsonValue* block = document.find("governor"); block != nullptr) {
     check_keys(*block, "governor",
                {"adaptive_retrial", "member_breakers", "window_s", "min_tries",
                 "breaker_threshold", "breaker_cooldown_s", "shed_budget_msgs_per_s",
                 "shed_burst_msgs"});
-    ScenarioGovernor g;
-    g.adaptive_retrial = get_bool(*block, "governor", "adaptive_retrial", g.adaptive_retrial);
-    g.member_breakers = get_bool(*block, "governor", "member_breakers", g.member_breakers);
-    g.window_s = get_number(*block, "governor", "window_s", g.window_s);
-    g.min_tries =
-        static_cast<std::size_t>(get_uint(*block, "governor", "min_tries", g.min_tries));
-    g.breaker_threshold = static_cast<std::size_t>(
-        get_uint(*block, "governor", "breaker_threshold", g.breaker_threshold));
-    g.breaker_cooldown_s =
-        get_number(*block, "governor", "breaker_cooldown_s", g.breaker_cooldown_s);
-    g.shed_budget_msgs_per_s =
-        get_number(*block, "governor", "shed_budget_msgs_per_s", g.shed_budget_msgs_per_s);
-    g.shed_burst_msgs = get_number(*block, "governor", "shed_burst_msgs", g.shed_burst_msgs);
-    scenario.governor = g;
+    ScenarioGovernor& g = scenario.governor.emplace();
+    g.adaptive_retrial = get_bool(*block, "governor", "adaptive_retrial");
+    g.member_breakers = get_bool(*block, "governor", "member_breakers");
+    g.window_s = get_number(*block, "governor", "window_s");
+    g.min_tries = get_uint<std::size_t>(*block, "governor", "min_tries");
+    g.breaker_threshold = get_uint<std::size_t>(*block, "governor", "breaker_threshold");
+    g.breaker_cooldown_s = get_number(*block, "governor", "breaker_cooldown_s");
+    g.shed_budget_msgs_per_s = get_number(*block, "governor", "shed_budget_msgs_per_s");
+    g.shed_burst_msgs = get_number(*block, "governor", "shed_burst_msgs");
   }
   if (const JsonValue* block = document.find("axes"); block != nullptr) {
+    // An axis at rate 0 never draws, so its rate and mean are bounded here.
     check_keys(*block, "axes",
                {"link_rate", "link_mean_repair_s", "churn_rate", "churn_mean_down_s",
                 "node_rate", "node_mean_repair_s"});
-    scenario.axes.link_rate = get_number(*block, "axes", "link_rate", 0.0);
-    scenario.axes.link_mean_repair_s =
-        get_number(*block, "axes", "link_mean_repair_s", scenario.axes.link_mean_repair_s);
-    scenario.axes.churn_rate = get_number(*block, "axes", "churn_rate", 0.0);
-    scenario.axes.churn_mean_down_s =
-        get_number(*block, "axes", "churn_mean_down_s", scenario.axes.churn_mean_down_s);
-    scenario.axes.node_rate = get_number(*block, "axes", "node_rate", 0.0);
-    scenario.axes.node_mean_repair_s =
-        get_number(*block, "axes", "node_mean_repair_s", scenario.axes.node_mean_repair_s);
+    FaultAxes& axes = scenario.axes;
+    axes.link_rate = get_number(*block, "axes", "link_rate", Domain::kNonNegative);
+    axes.link_mean_repair_s =
+        get_number(*block, "axes", "link_mean_repair_s", Domain::kPositive);
+    axes.churn_rate = get_number(*block, "axes", "churn_rate", Domain::kNonNegative);
+    axes.churn_mean_down_s = get_number(*block, "axes", "churn_mean_down_s", Domain::kPositive);
+    axes.node_rate = get_number(*block, "axes", "node_rate", Domain::kNonNegative);
+    axes.node_mean_repair_s =
+        get_number(*block, "axes", "node_mean_repair_s", Domain::kPositive);
   }
 
   if (const JsonValue* array = document.find("link_faults"); array != nullptr) {
     for (const JsonValue& element : array->as_array()) {
       check_keys(element, "link_faults", {"a", "b", "fail_at", "repair_at"});
-      scenario.link_faults.push_back(single_fault(
-          static_cast<net::NodeId>(get_uint(element, "link_faults", "a", 0)),
-          static_cast<net::NodeId>(get_uint(element, "link_faults", "b", 0)),
-          get_number(element, "link_faults", "fail_at", 0.0),
-          get_number(element, "link_faults", "repair_at", 0.0)));
+      scenario.link_faults.push_back(
+          single_fault(get_uint<net::NodeId>(element, "link_faults", "a"),
+                       get_uint<net::NodeId>(element, "link_faults", "b"),
+                       get_number(element, "link_faults", "fail_at"),
+                       get_number(element, "link_faults", "repair_at")));
     }
   }
   if (const JsonValue* array = document.find("churn"); array != nullptr) {
     for (const JsonValue& element : array->as_array()) {
       check_keys(element, "churn", {"member", "down_at", "up_at"});
-      scenario.churn.push_back(single_churn(
-          static_cast<std::size_t>(get_uint(element, "churn", "member", 0)),
-          get_number(element, "churn", "down_at", 0.0),
-          get_number(element, "churn", "up_at", 0.0)));
+      scenario.churn.push_back(single_churn(get_uint<std::size_t>(element, "churn", "member"),
+                                            get_number(element, "churn", "down_at"),
+                                            get_number(element, "churn", "up_at")));
     }
   }
   if (const JsonValue* array = document.find("node_faults"); array != nullptr) {
     for (const JsonValue& element : array->as_array()) {
       check_keys(element, "node_faults", {"node", "fail_at", "repair_at"});
-      scenario.node_faults.push_back(single_node_fault(
-          static_cast<net::NodeId>(get_uint(element, "node_faults", "node", 0)),
-          get_number(element, "node_faults", "fail_at", 0.0),
-          get_number(element, "node_faults", "repair_at", 0.0)));
+      scenario.node_faults.push_back(
+          single_node_fault(get_uint<net::NodeId>(element, "node_faults", "node"),
+                            get_number(element, "node_faults", "fail_at"),
+                            get_number(element, "node_faults", "repair_at")));
     }
   }
   if (const JsonValue* array = document.find("regional_outages"); array != nullptr) {
@@ -442,12 +461,10 @@ Scenario scenario_from_json(const util::JsonValue& document) {
       check_keys(element, "regional_outages",
                  {"epicenter", "radius_hops", "fail_at", "repair_at"});
       RegionalOutageSpec outage;
-      outage.epicenter =
-          static_cast<net::NodeId>(get_uint(element, "regional_outages", "epicenter", 0));
-      outage.radius_hops = static_cast<std::size_t>(
-          get_uint(element, "regional_outages", "radius_hops", 0));
-      outage.fail_at = get_number(element, "regional_outages", "fail_at", 0.0);
-      outage.repair_at = get_number(element, "regional_outages", "repair_at", 0.0);
+      outage.epicenter = get_uint<net::NodeId>(element, "regional_outages", "epicenter");
+      outage.radius_hops = get_uint<std::size_t>(element, "regional_outages", "radius_hops");
+      outage.fail_at = get_number(element, "regional_outages", "fail_at");
+      outage.repair_at = get_number(element, "regional_outages", "repair_at");
       if (!(outage.repair_at > outage.fail_at) || outage.fail_at < 0.0) {
         fail("regional_outages", "repair_at must follow a non-negative fail_at");
       }
@@ -459,18 +476,18 @@ Scenario scenario_from_json(const util::JsonValue& document) {
     for (const JsonValue& element : array->as_array()) {
       check_keys(element, "ops", {"t", "knob", "value"});
       control::TimedDirective timed;
-      timed.apply_at = get_number(element, "ops", "t", 0.0);
+      timed.apply_at = get_number(element, "ops", "t");
       if (timed.apply_at < last_t) {
         fail("ops", "directives must be sorted by t");
       }
       last_t = timed.apply_at;
-      const std::string knob = get_string(element, "ops", "knob", "");
+      const std::string knob = get_string(element, "ops", "knob");
       const auto parsed = control::parse_knob(knob);
       if (!parsed.has_value()) {
-        fail("ops", "unknown knob \"" + knob + "\"");
+        fail("ops", "unknown knob " + quoted(knob));
       }
       timed.directive.knob = *parsed;
-      timed.directive.value = get_number(element, "ops", "value", 0.0);
+      timed.directive.value = get_number(element, "ops", "value");
       if (const auto error =
               control::validate_directive(timed.directive.knob, timed.directive.value);
           error.has_value()) {
@@ -488,6 +505,14 @@ std::string save_scenario(const Scenario& scenario) {
 
 Scenario load_scenario(std::string_view text) {
   return scenario_from_json(util::parse_json(text));
+}
+
+Scenario load_scenario_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  util::require(in.good(), "cannot open scenario file " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return load_scenario(text.str());
 }
 
 void materialize_random_axes(Scenario& scenario, const net::Topology& topology) {

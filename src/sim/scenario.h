@@ -8,8 +8,15 @@
 // replayed ops directives. Save -> load -> run is byte-identical to the
 // in-memory run (tested), so any run — a hand-written experiment, a CI
 // chaos cell, or a chaosfuzz-shrunk repro — is a committed, replayable
-// artifact. `dacsim --scenario`, `chaossim --scenario`, and tools/chaosfuzz
-// all consume this plane; scripts/check-scenario.py lints the format.
+// artifact.
+//
+// It is the only run description: dacsim's flags and every chaossim cell
+// are written as a Scenario and lowered by make_scenario_run, like a
+// --scenario file, a chaosfuzz candidate or a perfbench chaos cell. One
+// reader validates a file: load_scenario, then make_scenario_run, then the
+// Simulation constructor — the chaos oracle's invalid: phase. A malformed
+// file is rejected before its first event (`chaosfuzz --replay=FILE`
+// checks one).
 #pragma once
 
 #include <cstdint>
@@ -131,21 +138,27 @@ struct Scenario {
 };
 
 /// Builds a topology from a scenario spec: "mci", "line:N", "ring:N",
-/// "star:N", "grid:RxC", "waxman:NxSEED". Shared with dacsim's --topology.
+/// "star:N", "grid:RxC", "waxman:NxSEED", or "file:PATH" (a topology file,
+/// net::load_topology).
 net::Topology build_scenario_topology(const std::string& spec);
 
 /// Scenario -> JSON document (fixed key order, round-trip-exact numbers;
 /// dump(true) of the result is the canonical file format).
 util::JsonValue scenario_to_json(const Scenario& scenario);
-/// JSON document -> Scenario. Throws std::invalid_argument on a missing
-/// schema tag, unknown keys (typo safety for repro files), wrong types, or
-/// out-of-order fault windows.
+/// JSON document -> Scenario. Throws std::invalid_argument on a wrong
+/// schema tag, unknown or missing keys (every key save_scenario writes is
+/// required), wrong types, integers that do not fit their field (NodeId,
+/// size_t, the 64-bit seed), an empty name, alpha or backoff_jitter outside
+/// [0, 1], negative axis rates or reconvergence param_s, non-positive axis
+/// means, out-of-order fault windows, or bad ops.
 Scenario scenario_from_json(const util::JsonValue& document);
 
 /// Canonical file text (pretty JSON, trailing newline).
 std::string save_scenario(const Scenario& scenario);
 /// Parses + validates scenario file text.
 Scenario load_scenario(std::string_view text);
+/// load_scenario on the contents of the file at `path`.
+Scenario load_scenario_file(const std::string& path);
 
 /// Expands the random axes into the explicit entry lists (via the shared
 /// scenario_schedules builder on `topology`) and zeroes the axes, so every

@@ -317,15 +317,15 @@ class Simulation {
   [[nodiscard]] std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>
   active_selectors() const;
 
-  /// The simulation kernel — exposed so instrumentation (e.g.
-  /// TimeSeriesProbe) can be attached *before* run(). Scheduling model
+  /// The simulation kernel — exposed so instrumentation (e.g. the
+  /// auditor's checkpoints) can be attached *before* run(). Scheduling model
   /// events here yourself voids the results.
   [[nodiscard]] des::Simulator& simulator() { return simulator_; }
   /// Currently active (admitted, undeparted) flows.
   [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
   /// True once the post-measurement drain has begun (drain_to_quiescence).
-  /// Periodic self-rescheduling instrumentation (auditor checkpoints,
-  /// time-series probes) must stop re-arming once this is set, or the
+  /// Periodic self-rescheduling instrumentation (auditor checkpoints)
+  /// must stop re-arming once this is set, or the
   /// run-to-empty drain never finds an empty calendar.
   [[nodiscard]] bool draining() const { return draining_; }
 
@@ -335,8 +335,7 @@ class Simulation {
   }
 
   /// The resilient signaling plane, or nullptr for fault-free runs. Exposed
-  /// so the chaos harness can inspect recovery state and repair leaks
-  /// (reclaim_pending) after a drained run.
+  /// so the chaos oracle can inspect recovery state after a drained run.
   [[nodiscard]] signaling::ResilientReservationProtocol* resilient() { return resilient_; }
   [[nodiscard]] const signaling::ResilientReservationProtocol* resilient() const {
     return resilient_;

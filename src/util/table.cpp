@@ -9,8 +9,6 @@
 
 namespace anyqos::util {
 
-namespace {
-
 std::string csv_escape(const std::string& field) {
   if (field.find_first_of(",\"\n") == std::string::npos) {
     return field;
@@ -26,8 +24,6 @@ std::string csv_escape(const std::string& field) {
   escaped += '"';
   return escaped;
 }
-
-}  // namespace
 
 TablePrinter::TablePrinter(std::vector<std::string> header) : header_(std::move(header)) {
   require(!header_.empty(), "table header must have at least one column");

@@ -10,6 +10,10 @@
 
 namespace anyqos::util {
 
+/// One CSV field, quoted (inner quotes doubled) when it holds a comma,
+/// quote, or newline.
+std::string csv_escape(const std::string& field);
+
 /// Accumulates rows of string cells and renders them either as an aligned
 /// monospace table (for the console) or as CSV (for plotting).
 class TablePrinter {

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "src/obs/timeline.h"
 #include "src/sim/faults.h"
 #include "src/sim/trace.h"
 
@@ -96,6 +97,36 @@ TEST(ChaosOracle, ForwardsTraceSink) {
   const ChaosOracleOutcome outcome = run_chaos_oracle(clean_scenario(), options);
   EXPECT_TRUE(outcome.clean());
   EXPECT_GT(trace.events().size(), 0U);
+}
+
+TEST(ChaosOracle, StepsTakeObserversAndKeepTheSimulationReadable) {
+  ChaosOracle oracle(clean_scenario());
+  sim::ScenarioRun* run = oracle.lowered();
+  ASSERT_NE(run, nullptr);
+  obs::Timeline timeline;
+  run->config.timeline = &timeline;
+  const ChaosOracleOutcome outcome = oracle.run();
+
+  // A detached observer perturbs nothing: same verdict, counts and dump.
+  const ChaosOracleOutcome plain = run_chaos_oracle(clean_scenario());
+  EXPECT_TRUE(outcome.clean()) << outcome.violation_class;
+  EXPECT_EQ(outcome.result.offered, plain.result.offered);
+  EXPECT_EQ(outcome.result.admitted, plain.result.admitted);
+  EXPECT_EQ(outcome.flight_dump, plain.flight_dump);
+  EXPECT_FALSE(timeline.samples().empty());
+  ASSERT_NE(oracle.simulation(), nullptr);
+  EXPECT_EQ(oracle.simulation()->active_flows(), 0U);
+  EXPECT_GT(oracle.tracer().spans_emitted(), 0U);
+}
+
+TEST(ChaosOracle, InvalidScenarioLowersToNothing) {
+  sim::Scenario scenario = clean_scenario();
+  scenario.group.clear();
+  ChaosOracle oracle(scenario);
+  EXPECT_EQ(oracle.lowered(), nullptr);
+  const ChaosOracleOutcome outcome = oracle.run();
+  EXPECT_EQ(outcome.violation_class.rfind("invalid:", 0), 0U) << outcome.violation_class;
+  EXPECT_EQ(oracle.simulation(), nullptr);
 }
 
 }  // namespace

@@ -118,19 +118,7 @@ RunArtifacts run_once(sim::SimulationConfig config, obs::OpsServer* server,
 TEST(OpsPlaneIntegration, SteerScrapeAndReplayByteIdentically) {
   control::DirectiveMailbox mailbox;
   obs::OpsServer server;
-  server.set_control_handler(
-      [&mailbox](const std::string& knob_name, const std::string& body) {
-        obs::ControlOutcome outcome;
-        const auto knob = control::parse_knob(knob_name);
-        if (!knob.has_value()) {
-          outcome.status = 404;
-          outcome.body = "{}\n";
-          return outcome;
-        }
-        mailbox.post({*knob, std::stod(body)});
-        outcome.body = "{\"queued\":true}\n";
-        return outcome;
-      });
+  server.set_control_handler(obs::mailbox_control_handler(mailbox));
   server.start();
 
   // Steer over the wire before the run starts: both directives sit in the

@@ -1,5 +1,5 @@
 // End-to-end: a topology written to disk drives the identical evaluation as
-// the built-in builder — the dacsim --topology-file workflow.
+// the built-in builder — the dacsim --topology=file:PATH workflow.
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -103,19 +103,7 @@ TEST(OpsServer, HealthEndpointCarriesSimTimeAndDrainState) {
 TEST(OpsServer, ControlPostsRunThroughTheHandler) {
   control::DirectiveMailbox mailbox;
   OpsServer server;
-  server.set_control_handler(
-      [&mailbox](const std::string& knob_name, const std::string& body) {
-        ControlOutcome outcome;
-        const auto knob = control::parse_knob(knob_name);
-        if (!knob.has_value()) {
-          outcome.status = 404;
-          outcome.body = "{\"error\":\"unknown knob\"}\n";
-          return outcome;
-        }
-        mailbox.post({*knob, std::stod(body)});
-        outcome.body = "{\"queued\":true}\n";
-        return outcome;
-      });
+  server.set_control_handler(mailbox_control_handler(mailbox));
   server.start();
 
   EXPECT_NE(post(server.port(), "/control/shed-budget", "5").find("HTTP/1.1 200"),
@@ -177,6 +165,47 @@ TEST(OpsServer, StopIsIdempotentAndFreesThePort) {
   next.start();
   EXPECT_EQ(next.port(), port);
   next.stop();
+}
+
+// mailbox_control_handler's four outcomes, called directly (no socket).
+TEST(MailboxControlHandler, UnknownKnobIs404) {
+  control::DirectiveMailbox mailbox;
+  const ControlOutcome outcome = mailbox_control_handler(mailbox)("warp-factor", "5");
+  EXPECT_EQ(outcome.status, 404);
+  EXPECT_EQ(outcome.body, "{\"error\":\"unknown knob 'warp-factor'\"}\n");
+  EXPECT_EQ(mailbox.posted(), 0u);
+}
+
+TEST(MailboxControlHandler, NonNumericBodyIs422) {
+  control::DirectiveMailbox mailbox;
+  const auto handler = mailbox_control_handler(mailbox);
+  for (const std::string body : {"five", "", "5 6"}) {
+    const ControlOutcome outcome = handler("shed-budget", body);
+    EXPECT_EQ(outcome.status, 422) << body;
+    EXPECT_EQ(outcome.body, "{\"error\":\"body must be a single number\"}\n") << body;
+  }
+  EXPECT_EQ(mailbox.posted(), 0u);
+}
+
+TEST(MailboxControlHandler, OutOfDomainValueIs422) {
+  control::DirectiveMailbox mailbox;
+  const ControlOutcome outcome = mailbox_control_handler(mailbox)("retrial-ceiling", "0");
+  EXPECT_EQ(outcome.status, 422);
+  const auto error = control::validate_directive(control::Knob::kRetrialCeiling, 0.0);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(outcome.body, "{\"error\":\"" + *error + "\"}\n");
+  EXPECT_EQ(mailbox.posted(), 0u);
+}
+
+TEST(MailboxControlHandler, ValidDirectiveIsQueued) {
+  control::DirectiveMailbox mailbox;
+  const ControlOutcome outcome = mailbox_control_handler(mailbox)("shed-budget", " 2.5\n");
+  EXPECT_EQ(outcome.status, 200);
+  EXPECT_EQ(outcome.body, "{\"queued\":{\"knob\":\"shed-budget\",\"value\":2.5}}\n");
+  const auto drained = mailbox.drain();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].knob, control::Knob::kShedBudget);
+  EXPECT_EQ(drained[0].value, 2.5);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <set>
 #include <stdexcept>
 #include <string>
 
+#include "src/net/topology_io.h"
+
 namespace anyqos::sim {
 namespace {
+
+using util::JsonValue;
 
 /// A scenario exercising every block and entry list the format defines.
 Scenario full_scenario() {
@@ -50,6 +57,42 @@ Scenario full_scenario() {
   directive.directive.value = 2.0;
   scenario.ops.push_back(directive);
   return scenario;
+}
+
+/// The member `key` of a JSON object, for in-place edits.
+JsonValue& member(JsonValue& object, std::string_view key) {
+  for (auto& [name, value] : object.as_object()) {
+    if (name == key) {
+      return value;
+    }
+  }
+  throw std::logic_error("no member " + std::string(key));
+}
+
+void erase_member(JsonValue& object, std::string_view key) {
+  std::erase_if(object.as_object(), [key](const auto& entry) { return entry.first == key; });
+}
+
+/// full_scenario() as a document with `path` (object keys, then "0" for the
+/// first entry of a list) set to `value`.
+JsonValue full_document_with(std::initializer_list<std::string_view> path, JsonValue value) {
+  JsonValue document = scenario_to_json(full_scenario());
+  JsonValue* target = &document;
+  for (const std::string_view key : path) {
+    target = key == "0" ? &target->as_array().front() : &member(*target, key);
+  }
+  *target = std::move(value);
+  return document;
+}
+
+/// The reader must reject `document`, naming the problem with `needle`.
+void expect_rejected(const JsonValue& document, const std::string& needle) {
+  try {
+    (void)scenario_from_json(document);
+    ADD_FAILURE() << "accepted a document the reader should reject with: " << needle;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos) << error.what();
+  }
 }
 
 TEST(Scenario, SaveLoadRoundTripIsByteIdentical) {
@@ -142,6 +185,120 @@ TEST(Scenario, BuildsEveryTopologyFamily) {
   EXPECT_EQ(build_scenario_topology("grid:2x3").router_count(), 6U);
   EXPECT_THROW(build_scenario_topology("torus:4"), std::invalid_argument);
   EXPECT_THROW(build_scenario_topology("grid:4"), std::invalid_argument);
+
+  const std::string path = ::testing::TempDir() + "/anyqos_scenario_ring.topo";
+  net::save_topology(build_scenario_topology("ring:7"), path);
+  EXPECT_EQ(build_scenario_topology("file:" + path).router_count(), 7U);
+  std::remove(path.c_str());
+  EXPECT_THROW(build_scenario_topology("file:" + path), std::invalid_argument);
+}
+
+TEST(Scenario, RequiresEveryKeySaveWrites) {
+  const JsonValue full = scenario_to_json(full_scenario());
+  const std::set<std::string> optional = {"resilience", "reconvergence", "governor",
+                                          "axes",       "link_faults",   "churn",
+                                          "node_faults", "regional_outages", "ops"};
+  for (const auto& [key, value] : full.as_object()) {
+    JsonValue document = full;
+    erase_member(document, key);
+    if (optional.contains(key)) {
+      EXPECT_NO_THROW((void)scenario_from_json(document)) << key;
+    } else {
+      expect_rejected(document, "missing key \"" + key + "\"");
+    }
+    // Inside a block (or a list's entries) every key save_scenario writes
+    // is required too.
+    const JsonValue* block = &value;
+    if (value.is_array()) {
+      block = &value.as_array().front();
+    }
+    if (!block->is_object()) {
+      continue;
+    }
+    for (const auto& [inner, unused] : block->as_object()) {
+      JsonValue nested = full;
+      JsonValue& parent = member(nested, key);
+      erase_member(parent.is_array() ? parent.as_array().front() : parent, inner);
+      expect_rejected(nested, "missing key \"" + inner + "\"");
+    }
+  }
+}
+
+TEST(Scenario, RejectsValuesNothingDownstreamChecks) {
+  // ED ignores alpha, the instant policy ignores param_s, a zero-rate axis
+  // never draws, and the lowering never reads the name: only the reader
+  // can catch these.
+  expect_rejected(full_document_with({"name"}, JsonValue::string("")), "must be non-empty");
+  expect_rejected(full_document_with({"system", "alpha"}, JsonValue::number(1.5)),
+                  "\"alpha\" must lie in [0, 1]");
+  expect_rejected(full_document_with({"system", "alpha"}, JsonValue::number(-0.1)),
+                  "\"alpha\" must lie in [0, 1]");
+  expect_rejected(full_document_with({"resilience", "backoff_jitter"}, JsonValue::number(2.0)),
+                  "\"backoff_jitter\" must lie in [0, 1]");
+  expect_rejected(full_document_with({"reconvergence", "param_s"}, JsonValue::number(-1.0)),
+                  "\"param_s\" must be non-negative");
+  for (const std::string rate : {"link_rate", "churn_rate", "node_rate"}) {
+    expect_rejected(full_document_with({"axes", rate}, JsonValue::number(-1.0)),
+                    rate + "\" must be non-negative");
+  }
+  for (const std::string mean : {"link_mean_repair_s", "churn_mean_down_s", "node_mean_repair_s"}) {
+    expect_rejected(full_document_with({"axes", mean}, JsonValue::number(0.0)),
+                    mean + "\" must be positive");
+  }
+}
+
+// Out-of-range integers must be rejected, never wrapped onto a valid value
+// (router 2^32 + 18 used to load as router 18).
+TEST(Scenario, RejectsNodeIdsThatDoNotFitUint32) {
+  JsonValue group = JsonValue::array();
+  group.push_back(JsonValue::number(2.0));
+  group.push_back(JsonValue::number(4294967314.0));
+  expect_rejected(full_document_with({"system", "group"}, std::move(group)),
+                  "\"group\" must be an integer in [0, 2^32)");
+  expect_rejected(full_document_with({"link_faults", "0", "a"}, JsonValue::number(4294967296.0)),
+                  "\"a\" must be an integer in [0, 2^32)");
+  expect_rejected(
+      full_document_with({"node_faults", "0", "node"}, JsonValue::number(4294967305.0)),
+      "\"node\" must be an integer in [0, 2^32)");
+  // The largest NodeId still loads (the topology, not the reader, rejects it).
+  EXPECT_EQ(scenario_from_json(full_document_with({"node_faults", "0", "node"},
+                                                  JsonValue::number(4294967295.0)))
+                .node_faults.front()
+                .node,
+            4294967295U);
+}
+
+TEST(Scenario, RejectsCountsThatDoNotFitSizeT) {
+  expect_rejected(full_document_with({"system", "max_tries"}, JsonValue::number(1e20)),
+                  "\"max_tries\" must be an integer in [0, 2^64)");
+  expect_rejected(full_document_with({"churn", "0", "member"}, JsonValue::number(1e20)),
+                  "\"member\" must be an integer in [0, 2^64)");
+  expect_rejected(full_document_with({"run", "drain_max_events"}, JsonValue::number(-1.0)),
+                  "\"drain_max_events\" must be an integer in [0, 2^64)");
+  expect_rejected(
+      full_document_with({"regional_outages", "0", "radius_hops"}, JsonValue::number(1.5)),
+      "\"radius_hops\" must be an integer in [0, 2^64)");
+}
+
+TEST(Scenario, RejectsSeedsOutsideUint64) {
+  for (const double seed : {1e30, 18446744073709551616.0, -1.0, 1.5}) {
+    expect_rejected(full_document_with({"seed"}, JsonValue::number(seed)),
+                    "\"seed\" must be an integer in [0, 2^64)");
+  }
+}
+
+TEST(Scenario, LoadsSeedsAbove2To53AsSaved) {
+  // 64-bit splitmix seeds are saved as the nearest double and must load as
+  // exactly that double's integer, not narrowed to 2^53.
+  for (const std::uint64_t seed : {0x9E3779B97F4A7C15ULL, 0xFFFFFFFFFFFFF800ULL}) {
+    Scenario scenario = full_scenario();
+    scenario.seed = seed;
+    const std::string text = save_scenario(scenario);
+    const Scenario loaded = load_scenario(text);
+    EXPECT_EQ(loaded.seed, static_cast<std::uint64_t>(static_cast<double>(seed)));
+    EXPECT_GT(loaded.seed, std::uint64_t{1} << 53);
+    EXPECT_EQ(save_scenario(loaded), text);
+  }
 }
 
 TEST(Scenario, MakeScenarioRunValidatesCrossFieldConstraints) {

@@ -7,7 +7,8 @@
 //   # replay a (possibly shrunk) repro deterministically
 //   $ ./chaosfuzz --replay=/tmp/cf-repro.json
 //
-//   # save the built-in base scenario for hand editing / linting
+//   # save the built-in base scenario for hand editing; replaying a file
+//   # also checks it (a malformed one is rejected before its first event)
 //   $ ./chaosfuzz --save-default=base.json
 //
 // Exit codes: 0 = clean (nothing found / replay clean), 1 = violation found
@@ -29,7 +30,7 @@ namespace {
 using anyqos::audit::ChaosOracleOptions;
 using anyqos::audit::ChaosOracleOutcome;
 using anyqos::audit::run_chaos_oracle;
-using anyqos::sim::load_scenario;
+using anyqos::sim::load_scenario_file;
 using anyqos::sim::save_scenario;
 using anyqos::sim::Scenario;
 
@@ -39,16 +40,6 @@ void write_file(const std::string& path, const std::string& contents) {
     throw std::invalid_argument("cannot open for writing: " + path);
   }
   out << contents;
-}
-
-Scenario read_scenario(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::invalid_argument("cannot open scenario file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return load_scenario(buffer.str());
 }
 
 /// Writes the repro triple: scenario JSON, flight-recorder JSONL, flow trace
@@ -118,7 +109,7 @@ int run(int argc, const char* const* argv) {
   oracle.defeat_duplex_idempotency = flags.get_bool("defeat-duplex-idempotency");
 
   if (!flags.get_string("replay").empty()) {
-    const Scenario scenario = read_scenario(flags.get_string("replay"));
+    const Scenario scenario = load_scenario_file(flags.get_string("replay"));
     std::ostringstream trace_csv;
     anyqos::sim::CsvTraceSink trace(trace_csv);
     oracle.trace = &trace;
@@ -133,7 +124,7 @@ int run(int argc, const char* const* argv) {
 
   const Scenario base = flags.get_string("base").empty()
                             ? anyqos::chaosfuzz::default_base_scenario()
-                            : read_scenario(flags.get_string("base"));
+                            : load_scenario_file(flags.get_string("base"));
   anyqos::chaosfuzz::FuzzOptions options;
   options.seed = flags.get_unsigned("seed");
   options.iterations = flags.get_unsigned("iterations");

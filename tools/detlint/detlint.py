@@ -79,7 +79,6 @@ ARTIFACT_GLOBS = (
     "src/sim/trace.*",
     "src/sim/metrics.*",
     "src/sim/metrics_export.*",
-    "src/sim/timeseries.*",
     "src/sim/flow_table.*",
     "src/sim/simulation.*",
     "src/signaling/soft_state.*",
