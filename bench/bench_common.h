@@ -7,10 +7,7 @@
 // are recorded against the paper in EXPERIMENTS.md.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
-#include <fstream>
+#include <cstddef>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -36,9 +33,6 @@ inline void add_run_flags(util::CliFlags& flags) {
   flags.add_unsigned("replications", 1,
                      "independent replications per point (mean reported; >1 "
                      "multiplies runtime)");
-  flags.add_string("perf-out", "",
-                   "write an engine performance record (events/s, wall time, "
-                   "peak queue depth) as JSON to this file");
 }
 
 /// Parses --lambdas into a rate grid.
@@ -86,10 +80,6 @@ inline void run_figure(const util::CliFlags& flags, const std::string& metric_na
   const std::size_t replications =
       static_cast<std::size_t>(flags.get_unsigned("replications"));
   util::require(replications >= 1, "--replications must be at least 1");
-  std::uint64_t total_events = 0;
-  std::size_t total_simulations = 0;
-  std::size_t peak_queue_depth = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
   for (const double lambda : lambdas) {
     std::vector<std::string> row = {util::format_fixed(lambda, 1)};
     for (const SystemColumn& system : systems) {
@@ -101,35 +91,16 @@ inline void run_figure(const util::CliFlags& flags, const std::string& metric_na
         system.configure(config);
         sim::Simulation simulation(model.topology, config);
         across_seeds.add(extract(simulation.run()));
-        total_events += simulation.simulator().dispatched_events();
-        peak_queue_depth =
-            std::max(peak_queue_depth, simulation.simulator().peak_pending_events());
-        ++total_simulations;
       }
       row.push_back(util::format_fixed(across_seeds.mean(), 6));
     }
     table.add_row(std::move(row));
     std::cerr << "  lambda " << lambda << " done\n";
   }
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   std::cout << (flags.get_bool("csv") ? table.to_csv() : table.to_text());
   std::cout << "\n(" << metric_name << "; model: Section 5.1 on the MCI-like backbone, "
             << "warmup " << controls.warmup_s << " s, measured " << controls.measure_s
             << " s, seed " << controls.seed << ")\n";
-
-  if (!flags.get_string("perf-out").empty()) {
-    const double events_per_second =
-        wall_seconds > 0.0 ? static_cast<double>(total_events) / wall_seconds : 0.0;
-    std::ofstream perf(flags.get_string("perf-out"));
-    util::require(perf.good(), "cannot open --perf-out file");
-    perf << "{\"bench\":\"" << util::json_escape(flags.program())
-         << "\",\"simulations\":" << total_simulations << ",\"events\":" << total_events
-         << ",\"wall_seconds\":" << wall_seconds
-         << ",\"events_per_second\":" << events_per_second
-         << ",\"peak_queue_depth\":" << peak_queue_depth << "}\n";
-    std::cerr << "perf record written to " << flags.get_string("perf-out") << "\n";
-  }
 }
 
 }  // namespace anyqos::bench

@@ -199,8 +199,7 @@ int main(int argc, char** argv) {
                    "write per-category kernel event telemetry here (JSONL)");
   flags.add_unsigned("flight-depth", 256, "flight-recorder ring capacity, entries");
   flags.add_bool("profile", false, "print engine profiling summary after the run");
-  flags.add_string("profile-out", "", "write the profiling summary + samples as JSON");
-  flags.add_double("profile-interval", 50.0, "sim seconds between profiler checkpoints");
+  flags.add_string("profile-out", "", "write the profiling summary + phase timers as JSON");
   flags.add_string("ops-port", "", "serve the live ops plane on this TCP port (0 = ephemeral)");
   flags.add_string("ops-log", "", "append applied control directives here (JSONL)");
   flags.add_string("ops-replay", "",
@@ -313,7 +312,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  obs::EngineProfiler profiler(flags.get_double("profile-interval"));
+  obs::EngineProfiler profiler;
   const bool profiling = flags.get_bool("profile") || !flags.get_string("profile-out").empty();
   if (profiling) {
     config.profiler = &profiler;
@@ -495,10 +494,13 @@ int main(int argc, char** argv) {
               << util::format_fixed(summary.sim_seconds_per_wall_second, 0)
               << " sim-s per wall-s)\n"
               << "peak queue depth  " << summary.peak_queue_depth << "\n"
-              << "peak active flows " << summary.peak_active_flows << "\n"
-              << "phases            warmup "
-              << util::format_fixed(profiler.phase_seconds("warmup"), 3) << " s, measure "
-              << util::format_fixed(profiler.phase_seconds("measure"), 3) << " s\n";
+              << "phases           ";
+    const char* separator = " ";
+    for (const auto& [phase, seconds] : profiler.phases()) {
+      std::cout << separator << phase << ' ' << util::format_fixed(seconds, 3) << " s";
+      separator = ", ";
+    }
+    std::cout << "\n";
     if (!flags.get_string("profile-out").empty()) {
       std::ofstream profile_file(flags.get_string("profile-out"));
       util::require(profile_file.good(), "cannot open profile file");

@@ -1,62 +1,36 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_engine.json against a committed baseline.
+"""Gate the kernel-telemetry overhead recorded by scripts/run-bench.sh.
 
-Two signals are diffed, both from the anyqos-bench-engine/1 schema:
+The record is google-benchmark JSON holding repetitions of the paper-model
+pair BM_SimulatedSecond (no sink) and BM_SimulatedSecondKernelStats (an
+obs::KernelStats sink attached, where real event work amortizes the sink's
+counters). Each benchmark's repetitions collapse to their minimum:
+scheduler noise is strictly additive, so best-of-N is the estimator closest
+to the true cost, and a couple of preempted repetitions cannot flip the
+ratio. Being a same-process ratio, the check is far less clock-sensitive
+than comparing runs across machines or days.
 
-  * engine.events_per_second  -- DES engine throughput (higher is better)
-  * microbench.benchmarks[].real_time, keyed by name (lower is better)
+Exit codes: 0 = within budget, 1 = attached overhead above the budget,
+2 = unusable record (missing file, malformed JSON, or the pair absent) —
+a typo'd artifact path must fail the build, not silently pass.
 
-Regressions beyond --tolerance are reported. The default mode is warn-only
-(exit 0 on regressions) because CI runners have noisy clocks; pass --strict
-to turn regressions into a nonzero exit for local A/B runs on quiet
-machines. Missing or malformed input files are exit 2 in BOTH modes — a
-typo'd artifact path must fail the build, not silently "pass" the diff.
-A build-type mismatch (the records' top-level "build_type", stamped by
-run-bench.sh from CMAKE_BUILD_TYPE) is also exit 2 in both modes: debug
-and Release numbers are not comparable, so the diff would be meaningless.
-
---attached-overhead RATIO additionally asserts that the kernel-telemetry
-benchmark pair in the CURRENT record (BM_SimulatedSecondKernelStats vs
-BM_SimulatedSecond — the full paper model with and without a sink, where
-real event work amortizes the sink's counters) stays within the given
-relative overhead. Being a same-process ratio it is far less
-clock-sensitive than cross-run deltas, so a violation is exit 1 even in
-warn-only mode. The trivial-chain pair (BM_SimulatorEventChainAttached)
-stays visible in the normal diff but is not budgeted: against a do-nothing
-event every counter bump is relatively enormous.
-
-  scripts/compare-bench.py --baseline bench/BENCH_baseline.json \
-      --current BENCH_engine.json [--tolerance 0.25] [--strict] \
-      [--attached-overhead 0.05]
+  scripts/compare-bench.py --current BENCH_engine.json [--attached-overhead 0.05]
 """
 
 import argparse
 import json
 import sys
 
-
-def load_record(path):
-    with open(path) as f:
-        record = json.load(f)
-    schema = record.get("schema", "")
-    if schema != "anyqos-bench-engine/1":
-        raise ValueError(f"{path}: unexpected schema {schema!r}")
-    return record
+DETACHED = "BM_SimulatedSecond"
+ATTACHED = "BM_SimulatedSecondKernelStats"
 
 
-def microbench_times(record):
-    """name -> real_time (ns) for plain benchmarks (skip aggregates).
-
-    A name may appear several times when run-bench.sh measured it with
-    --benchmark_repetitions (it does for the attached-overhead gate pair);
-    repeated entries collapse to their minimum. Scheduler noise is strictly
-    additive, so best-of-N is the estimator closest to the true cost — a
-    couple of preempted repetitions cannot flip a ratio check.
-    """
+def best_times(record):
+    """name -> minimum real_time over the repetitions (aggregates skipped)."""
     samples = {}
-    benches = record.get("microbench", {}).get("benchmarks")
+    benches = record.get("benchmarks")
     if not isinstance(benches, list):
-        raise ValueError("record has no microbench.benchmarks list")
+        raise ValueError("record has no benchmarks list")
     for bench in benches:
         if bench.get("run_type", "iteration") != "iteration":
             continue
@@ -65,99 +39,35 @@ def microbench_times(record):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True, help="committed BENCH_baseline.json")
-    parser.add_argument("--current", required=True, help="freshly produced BENCH_engine.json")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="relative slack before a delta counts as a regression "
-                             "(default 0.25 = 25%%)")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 1 on regressions instead of warning")
-    parser.add_argument("--attached-overhead", type=float, default=None,
-                        metavar="RATIO",
-                        help="also assert the attached kernel-telemetry chain "
-                             "benchmark is within RATIO of the detached one "
-                             "(always enforced, e.g. 0.05 = 5%%)")
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--current", required=True,
+                        help="record written by scripts/run-bench.sh")
+    parser.add_argument("--attached-overhead", type=float, default=0.05, metavar="RATIO",
+                        help="budget for the attached benchmark's extra cost "
+                             "(default 0.05 = 5%%)")
     args = parser.parse_args()
-    if args.tolerance < 0:
-        parser.error("--tolerance must be non-negative")
-    if args.attached_overhead is not None and args.attached_overhead < 0:
+    if args.attached_overhead < 0:
         parser.error("--attached-overhead must be non-negative")
 
-    # Input problems are always fatal (exit 2), even in warn-only mode:
-    # warn-only covers noisy-clock *regressions*, never a comparison that
-    # silently never happened.
     try:
-        baseline = load_record(args.baseline)
-        current = load_record(args.current)
-        base_times = microbench_times(baseline)
-        cur_times = microbench_times(current)
-        base_eps = float(baseline["engine"]["events_per_second"])
-        cur_eps = float(current["engine"]["events_per_second"])
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as error:
-        print(f"ERROR: unusable benchmark record: {error}", file=sys.stderr)
-        return 2
-    if base_eps <= 0:
-        print(f"ERROR: {args.baseline}: non-positive baseline throughput",
-              file=sys.stderr)
+        with open(args.current) as f:
+            times = best_times(json.load(f))
+        detached = times[DETACHED]
+        attached = times[ATTACHED]
+        if detached <= 0:
+            raise ValueError(f"{DETACHED} has non-positive time {detached}")
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        print(f"ERROR: unusable benchmark record {args.current}: {error!r}", file=sys.stderr)
         return 2
 
-    base_build = baseline.get("build_type", "unknown")
-    cur_build = current.get("build_type", "unknown")
-    print(f"build_type: baseline={base_build} current={cur_build}")
-    if base_build != cur_build:
-        print(f"ERROR: build-type mismatch ({base_build} baseline vs "
-              f"{cur_build} current): the numbers are not comparable",
-              file=sys.stderr)
-        return 2
-    regressions = []
-
-    delta = (cur_eps - base_eps) / base_eps
-    print(f"engine events_per_second: {base_eps:,.0f} -> {cur_eps:,.0f} ({delta:+.1%})")
-    if delta < -args.tolerance:
-        regressions.append(f"engine throughput fell {-delta:.1%} "
-                           f"(tolerance {args.tolerance:.0%})")
-
-    for name in sorted(base_times):
-        if name not in cur_times:
-            print(f"microbench {name}: missing from current run")
-            regressions.append(f"{name} missing from current run")
-            continue
-        delta = (cur_times[name] - base_times[name]) / base_times[name]
-        print(f"microbench {name}: {base_times[name]:.1f} -> "
-              f"{cur_times[name]:.1f} ns ({delta:+.1%})")
-        if delta > args.tolerance:
-            regressions.append(f"{name} slowed {delta:.1%} "
-                               f"(tolerance {args.tolerance:.0%})")
-    for name in sorted(set(cur_times) - set(base_times)):
-        print(f"microbench {name}: new (no baseline)")
-
-    if args.attached_overhead is not None:
-        detached = cur_times.get("BM_SimulatedSecond")
-        attached = cur_times.get("BM_SimulatedSecondKernelStats")
-        if detached is None or attached is None or detached <= 0:
-            print("ERROR: current record lacks the BM_SimulatedSecond / "
-                  "BM_SimulatedSecondKernelStats pair needed for "
-                  "--attached-overhead", file=sys.stderr)
-            return 2
-        overhead = (attached - detached) / detached
-        print(f"kernel telemetry attached overhead: {detached:.1f} -> "
-              f"{attached:.1f} ns ({overhead:+.1%}, budget "
-              f"{args.attached_overhead:.0%})")
-        if overhead > args.attached_overhead:
-            print(f"FAIL: attached kernel telemetry costs {overhead:.1%} "
-                  f"(budget {args.attached_overhead:.0%})", file=sys.stderr)
-            return 1
-
-    if not regressions:
-        print("bench comparison: OK (within tolerance)")
-        return 0
-    for item in regressions:
-        print(f"REGRESSION: {item}", file=sys.stderr)
-    if args.strict:
+    overhead = (attached - detached) / detached
+    print(f"kernel telemetry attached overhead: {detached:.3f} -> {attached:.3f} "
+          f"({overhead:+.1%}, budget {args.attached_overhead:.0%})")
+    if overhead > args.attached_overhead:
+        print(f"FAIL: attached kernel telemetry costs {overhead:.1%} "
+              f"(budget {args.attached_overhead:.0%})", file=sys.stderr)
         return 1
-    print("warn-only mode: not failing the build (use --strict to enforce)",
-          file=sys.stderr)
     return 0
 
 

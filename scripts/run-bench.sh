@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# Engine performance snapshot: runs the google-benchmark kernel microbench
-# plus one small figure bench with --perf-out, and folds both into a single
-# BENCH_engine.json (schema anyqos-bench-engine/1).
+# Kernel-telemetry overhead record: runs micro_engine's paper-model pair,
+# BM_SimulatedSecond (no sink) and BM_SimulatedSecondKernelStats (an
+# obs::KernelStats sink attached), and writes google-benchmark's JSON.
+# scripts/compare-bench.py turns the record into the <=5% budget gate.
 #
 #   scripts/run-bench.sh [--allow-debug] [BUILD_DIR] [OUT]
 #
 # BUILD_DIR defaults to ./build, OUT to ./BENCH_engine.json. Exits non-zero
-# if either bench fails or the combined record is empty/malformed.
+# if the bench fails or the record is empty or malformed.
 #
-# The record carries the anyqos library's CMAKE_BUILD_TYPE as a top-level
-# "build_type" field, and a non-Release build is refused outright unless
-# --allow-debug is given: debug numbers silently committed as a baseline
-# poison every later comparison (compare-bench.py exits 2 on a build-type
-# mismatch for the same reason).
+# The pair is a same-process ratio, so it gets a long, repeated, randomly
+# interleaved measurement: compare-bench.py takes the best of the
+# repetitions, which keeps the budget robust to a couple of preempted reps
+# (scheduler noise is strictly additive). A non-Release build is refused
+# unless --allow-debug is given: debug timings say nothing about the budget.
 set -euo pipefail
 
 ALLOW_DEBUG=0
@@ -39,79 +40,24 @@ if [[ "$BUILD_TYPE" != "Release" && "$ALLOW_DEBUG" -ne 1 ]]; then
 fi
 
 MICRO="${BUILD_DIR}/bench/micro_engine"
-FIG="${BUILD_DIR}/bench/fig3_ed_sensitivity"
-for bin in "$MICRO" "$FIG"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "run-bench.sh: missing benchmark binary $bin (build first)" >&2
-    exit 1
-  fi
-done
+if [[ ! -x "$MICRO" ]]; then
+  echo "run-bench.sh: missing benchmark binary $MICRO (build first)" >&2
+  exit 1
+fi
 
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
-
-echo "== micro_engine (google-benchmark, short run) ==" >&2
-"$MICRO" --benchmark_min_time=0.01 \
-         --benchmark_filter='-BM_SimulatedSecond' \
-         --benchmark_format=json >"$workdir/micro.json"
-
-# The attached-overhead gate pair is a same-process *ratio*, so it gets a
-# longer, repeated, randomly interleaved measurement: compare-bench.py
-# takes the best of the repetitions, making the <=5% budget robust to a
-# couple of preempted reps (scheduler noise is strictly additive).
 echo "== micro_engine (kernel-telemetry overhead pair, interleaved) ==" >&2
 "$MICRO" --benchmark_min_time=0.5 --benchmark_repetitions=5 \
          --benchmark_enable_random_interleaving=true \
          --benchmark_filter='BM_SimulatedSecond' \
-         --benchmark_format=json >"$workdir/pair.json"
+         --benchmark_format=json >"$OUT"
 
-# Merge the pair's benchmark entries into the main record.
-python3 - "$workdir/micro.json" "$workdir/pair.json" <<'EOF'
-import json, sys
-micro_path, pair_path = sys.argv[1], sys.argv[2]
-with open(micro_path) as f:
-    micro = json.load(f)
-with open(pair_path) as f:
-    pair = json.load(f)
-micro["benchmarks"].extend(pair.get("benchmarks", []))
-with open(micro_path, "w") as f:
-    json.dump(micro, f)
-EOF
-
-echo "== fig3_ed_sensitivity (DES engine throughput) ==" >&2
-"$FIG" --lambdas=20,35 --warmup=200 --measure=1000 \
-       --perf-out="$workdir/engine.json" >/dev/null
-
-for part in micro.json engine.json; do
-  if [[ ! -s "$workdir/$part" ]]; then
-    echo "run-bench.sh: $part is empty" >&2
-    exit 1
-  fi
-done
-
-# Assemble {"schema":...,"engine":{...},"microbench":{...}} without extra
-# tooling: both parts are self-produced JSON objects.
-{
-  printf '{"schema":"anyqos-bench-engine/1","build_type":"%s","engine":' "$BUILD_TYPE"
-  tr -d '\n' <"$workdir/engine.json"
-  printf ',"microbench":'
-  tr -d '\n' <"$workdir/micro.json"
-  printf '}\n'
-} >"$OUT"
-
-grep -q '"events_per_second":' "$OUT" || {
-  echo "run-bench.sh: $OUT lacks events_per_second" >&2
+python3 -m json.tool "$OUT" >/dev/null || {
+  echo "run-bench.sh: $OUT is not valid JSON" >&2
   exit 1
 }
-grep -q '"benchmarks":' "$OUT" || {
-  echo "run-bench.sh: $OUT lacks microbench results" >&2
+grep -q '"BM_SimulatedSecondKernelStats"' "$OUT" || {
+  echo "run-bench.sh: $OUT lacks the kernel-telemetry pair" >&2
   exit 1
 }
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m json.tool "$OUT" >/dev/null || {
-    echo "run-bench.sh: $OUT is not valid JSON" >&2
-    exit 1
-  }
-fi
 
 echo "wrote $OUT" >&2

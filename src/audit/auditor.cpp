@@ -13,6 +13,12 @@ namespace anyqos::audit {
 
 namespace {
 
+/// Tolerance for |sum W_i - 1| in the weight-normalization check.
+constexpr double kWeightEpsilon = 1e-6;
+/// Relative tolerance for bandwidth comparisons (floating-point slack on
+/// ledger sums); absolute slack is `kBandwidthEpsilon * (capacity + 1)`.
+constexpr double kBandwidthEpsilon = 1e-6;
+
 std::string describe_path(const net::Path& path, net::Bandwidth amount) {
   std::string text = "path ";
   text += std::to_string(path.source);
@@ -35,10 +41,7 @@ bool InvariantAuditor::ReservationKey::operator<(const ReservationKey& other) co
   return links < other.links;
 }
 
-InvariantAuditor::InvariantAuditor(AuditorOptions options) : options_(options) {
-  util::require(options_.weight_epsilon > 0.0, "weight epsilon must be positive");
-  util::require(options_.bandwidth_epsilon > 0.0, "bandwidth epsilon must be positive");
-}
+InvariantAuditor::InvariantAuditor(AuditorOptions options) : options_(options) {}
 
 InvariantAuditor::~InvariantAuditor() {
   if (ledger_ != nullptr && ledger_->observer() == this) {
@@ -179,7 +182,7 @@ void InvariantAuditor::on_reservation_narrowed(const net::Path& from, const net:
 }
 
 void InvariantAuditor::on_link_failed(net::LinkId id) {
-  const double slack = options_.bandwidth_epsilon * (ledger_->capacity(id) + 1.0);
+  const double slack = kBandwidthEpsilon * (ledger_->capacity(id) + 1.0);
   if (shadow_reserved_[id] > slack) {
     report(AuditCheck::kLedgerConservation,
            "link " + std::to_string(id) + " failed while the shadow account holds " +
@@ -241,15 +244,15 @@ void InvariantAuditor::check_ledger(double sim_time) {
   for (net::LinkId id = 0; id < ledger_->link_count(); ++id) {
     const net::Bandwidth capacity = ledger_->capacity(id);
     const net::Bandwidth reserved = ledger_->reserved(id);
-    const double slack = options_.bandwidth_epsilon * (capacity + 1.0);
+    const double slack = kBandwidthEpsilon * (capacity + 1.0);
     if (reserved < -slack || reserved > capacity + slack) {
       report(AuditCheck::kLedgerConservation,
              "link " + std::to_string(id) + " reserved " + util::format_fixed(reserved, 0) +
                  " bps outside [0, " + util::format_fixed(capacity, 0) + "]");
     }
     // On failed links capacity is 0 and reserved reads 0 - available = 0.
-    if (std::abs(shadow_reserved_[id] - reserved) > slack + options_.bandwidth_epsilon *
-                                                                (shadow_reserved_[id] + 1.0)) {
+    if (std::abs(shadow_reserved_[id] - reserved) >
+        slack + kBandwidthEpsilon * (shadow_reserved_[id] + 1.0)) {
       report(AuditCheck::kLedgerConservation,
              "link " + std::to_string(id) + " ledger reserved " +
                  util::format_fixed(reserved, 0) + " bps but observed reserve/release " +
@@ -278,7 +281,7 @@ void InvariantAuditor::check_weights(double sim_time) {
                  " has a negative weight " + util::format_fixed(minimum, 9));
       continue;
     }
-    if (std::abs(sum - 1.0) >= options_.weight_epsilon) {
+    if (std::abs(sum - 1.0) >= kWeightEpsilon) {
       report(AuditCheck::kWeightNormalization,
              "AC-router " + std::to_string(source) + " selector " + selector->name() +
                  " weights sum to " + util::format_fixed(sum, 9) +
@@ -304,7 +307,7 @@ void InvariantAuditor::check_soft_state(double sim_time) {
       }
       if (ledger_ != nullptr) {
         for (const net::LinkId id : session.route->links) {
-          const double slack = options_.bandwidth_epsilon * (ledger_->capacity(id) + 1.0);
+          const double slack = kBandwidthEpsilon * (ledger_->capacity(id) + 1.0);
           if (ledger_->reserved(id) + slack < session.bandwidth) {
             report(AuditCheck::kSoftStateExpiry,
                    "session " + std::to_string(session.id) + " claims " +

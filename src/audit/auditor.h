@@ -44,11 +44,6 @@ namespace anyqos::audit {
 
 /// Tuning knobs for the auditor.
 struct AuditorOptions {
-  /// Tolerance for |sum W_i - 1| in the weight-normalization check.
-  double weight_epsilon = 1e-6;
-  /// Relative tolerance for bandwidth comparisons (floating-point slack on
-  /// ledger sums); absolute slack is `bandwidth_epsilon * (capacity + 1)`.
-  double bandwidth_epsilon = 1e-6;
   /// Escalate every violation as util::InvariantError (after logging it).
   bool throw_on_violation = true;
   /// Period of the self-rescheduling checkpoint event attach() installs;

@@ -1,10 +1,11 @@
 #include "src/control/directive.h"
 
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 
+#include "src/util/json.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
@@ -12,41 +13,13 @@ namespace anyqos::control {
 
 namespace {
 
-// Round-trip rendering for log values: integers stay bare, everything else
-// gets %.17g so load_ops_log parses back the exact double.
-std::string render_log_number(double value) {
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    return std::to_string(static_cast<long long>(value));
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return std::string(buffer);
-}
-
-// Extracts the value of `key` from one log line of the writer's fixed
-// format. Values are either quoted strings or bare numbers; both end at
-// the next ',' or '}'.
-std::string_view extract_field(std::string_view line, std::string_view key,
-                               std::size_t line_number) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  util::require(at != std::string_view::npos,
-                "ops log line " + std::to_string(line_number) + " is missing \"" +
-                    std::string(key) + "\"");
-  std::string_view rest = line.substr(at + needle.size());
-  if (!rest.empty() && rest.front() == '"') {
-    rest.remove_prefix(1);
-    const std::size_t end = rest.find('"');
-    util::require(end != std::string_view::npos,
-                  "ops log line " + std::to_string(line_number) + " has an unterminated string");
-    return rest.substr(0, end);
-  }
-  const std::size_t end = rest.find_first_of(",}");
-  util::require(end != std::string_view::npos,
-                "ops log line " + std::to_string(line_number) + " is truncated");
-  return rest.substr(0, end);
+// One field of an ops log line, required with its JSON type.
+const util::JsonValue& log_field(const util::JsonValue& entry, const std::string& where,
+                                 std::string_view key, util::JsonValue::Kind kind) {
+  const util::JsonValue* value = entry.find(key);
+  util::require(value != nullptr && value->kind() == kind,
+                where + ": \"" + std::string(key) + "\" is missing or of the wrong type");
+  return *value;
 }
 
 }  // namespace
@@ -127,9 +100,9 @@ std::uint64_t DirectiveMailbox::posted() const {
 
 void OpsLogWriter::record(double sim_time, const ControlDirective& directive,
                           double applied_value) {
-  *out_ << "{\"ops\":\"directive\",\"t\":" << render_log_number(sim_time) << ",\"knob\":\""
-        << to_string(directive.knob) << "\",\"value\":" << render_log_number(directive.value)
-        << ",\"applied\":" << render_log_number(applied_value) << "}\n";
+  *out_ << "{\"ops\":\"directive\",\"t\":" << util::json_number(sim_time) << ",\"knob\":\""
+        << to_string(directive.knob) << "\",\"value\":" << util::json_number(directive.value)
+        << ",\"applied\":" << util::json_number(applied_value) << "}\n";
   ++entries_;
 }
 
@@ -142,27 +115,32 @@ std::vector<TimedDirective> load_ops_log(std::istream& in) {
     if (util::trim(line).empty()) {
       continue;
     }
-    util::require(extract_field(line, "ops", line_number) == "directive",
-                  "ops log line " + std::to_string(line_number) + " is not a directive");
+    const std::string where = "ops log line " + std::to_string(line_number);
+    util::JsonValue entry;
+    try {
+      entry = util::parse_json(line);
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument(where + " is not JSON: " + error.what());
+    }
+    // Exactly the keys OpsLogWriter writes: parse_json rejects duplicate
+    // keys, so five members that include all five names are that set.
+    util::require(entry.is_object() && entry.as_object().size() == 5,
+                  where + " must hold exactly the keys ops, t, knob, value, applied");
+    using Kind = util::JsonValue::Kind;
+    util::require(log_field(entry, where, "ops", Kind::kString).as_string() == "directive",
+                  where + " is not a directive");
     TimedDirective timed;
-    const std::optional<double> t = util::parse_double(extract_field(line, "t", line_number));
-    util::require(t.has_value(),
-                  "ops log line " + std::to_string(line_number) + " has a bad time");
-    timed.apply_at = *t;
-    const std::optional<Knob> knob = parse_knob(extract_field(line, "knob", line_number));
-    util::require(knob.has_value(),
-                  "ops log line " + std::to_string(line_number) + " names an unknown knob");
+    timed.apply_at = log_field(entry, where, "t", Kind::kNumber).as_number();
+    const std::optional<Knob> knob =
+        parse_knob(log_field(entry, where, "knob", Kind::kString).as_string());
+    util::require(knob.has_value(), where + " names an unknown knob");
     timed.directive.knob = *knob;
-    const std::optional<double> value =
-        util::parse_double(extract_field(line, "value", line_number));
-    util::require(value.has_value(),
-                  "ops log line " + std::to_string(line_number) + " has a bad value");
-    timed.directive.value = *value;
+    timed.directive.value = log_field(entry, where, "value", Kind::kNumber).as_number();
+    (void)log_field(entry, where, "applied", Kind::kNumber);  // replay re-derives it
     util::require(!validate_directive(timed.directive.knob, timed.directive.value).has_value(),
-                  "ops log line " + std::to_string(line_number) + " fails validation");
+                  where + " fails validation");
     util::require(directives.empty() || directives.back().apply_at <= timed.apply_at,
-                  "ops log times must be non-decreasing (line " +
-                      std::to_string(line_number) + ")");
+                  "ops log times must be non-decreasing (" + where + ")");
     directives.push_back(timed);
   }
   return directives;

@@ -1,6 +1,5 @@
 #include "src/obs/profiler.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -28,47 +27,12 @@ void write_double(std::ostream& out, double value) {
 
 }  // namespace
 
-EngineProfiler::EngineProfiler(double checkpoint_interval_s)
-    : checkpoint_interval_s_(checkpoint_interval_s) {}
-
-void EngineProfiler::attach(des::Simulator& simulator,
-                            std::function<std::size_t()> active_flows) {
+void EngineProfiler::attach(des::Simulator& simulator) {
   util::require(simulator_ == nullptr, "profiler already attached");
   simulator_ = &simulator;
-  category_ = simulator.category("obs.profiler");
-  active_flows_ = std::move(active_flows);
   ANYQOS_DETLINT_ALLOW(wall_clock, "profiler measures real engine throughput");
   attach_wall_ = std::chrono::steady_clock::now();
   baseline_events_ = simulator.dispatched_events();
-  if (checkpoint_interval_s_ > 0.0) {
-    schedule_checkpoint();
-  }
-}
-
-void EngineProfiler::schedule_checkpoint() {
-  simulator_->schedule_in(checkpoint_interval_s_, category_, [this] {
-    sample();
-    schedule_checkpoint();
-  });
-}
-
-void EngineProfiler::sample() {
-  util::require(simulator_ != nullptr, "profiler must be attached before sampling");
-  ProfileSample s;
-  s.sim_time_s = simulator_->now();
-  s.wall_seconds = seconds_since(attach_wall_);
-  s.events_dispatched = simulator_->dispatched_events();
-  const double prev_wall = samples_.empty() ? 0.0 : samples_.back().wall_seconds;
-  const std::uint64_t prev_events =
-      samples_.empty() ? baseline_events_ : samples_.back().events_dispatched;
-  const double dt = s.wall_seconds - prev_wall;
-  s.events_per_second =
-      dt > 0.0 ? static_cast<double>(s.events_dispatched - prev_events) / dt : 0.0;
-  s.queue_depth = simulator_->pending_events();
-  s.active_flows = active_flows_ ? active_flows_() : 0;
-  peak_queue_depth_ = std::max(peak_queue_depth_, s.queue_depth);
-  peak_active_flows_ = std::max(peak_active_flows_, s.active_flows);
-  samples_.push_back(std::move(s));
 }
 
 EngineProfiler::PhaseScope::PhaseScope(EngineProfiler* profiler, std::size_t index)
@@ -117,10 +81,7 @@ ProfileSummary EngineProfiler::summary() const {
     s.events_per_second = static_cast<double>(s.events) / s.wall_seconds;
     s.sim_seconds_per_wall_second = s.sim_time_s / s.wall_seconds;
   }
-  // The kernel high-water mark catches spikes between checkpoints.
-  s.peak_queue_depth = std::max(peak_queue_depth_, simulator_->peak_pending_events());
-  s.peak_active_flows = peak_active_flows_;
-  s.checkpoints = samples_.size();
+  s.peak_queue_depth = simulator_->peak_pending_events();
   return s;
 }
 
@@ -138,8 +99,6 @@ void EngineProfiler::export_to(MetricsRegistry& registry) const {
       .set(s.sim_seconds_per_wall_second);
   registry.gauge("anyqos_engine_peak_queue_depth", "Maximum pending-event queue depth")
       .set(static_cast<double>(s.peak_queue_depth));
-  registry.gauge("anyqos_engine_peak_active_flows", "Maximum concurrently active flows")
-      .set(static_cast<double>(s.peak_active_flows));
   for (const auto& [phase, seconds] : phases_) {
     registry
         .gauge("anyqos_engine_phase_seconds", "Wall-clock seconds spent per run phase",
@@ -158,9 +117,7 @@ void EngineProfiler::write_json(std::ostream& out) const {
   write_double(out, s.events_per_second);
   out << ",\"sim_seconds_per_wall_second\":";
   write_double(out, s.sim_seconds_per_wall_second);
-  out << ",\"peak_queue_depth\":" << s.peak_queue_depth
-      << ",\"peak_active_flows\":" << s.peak_active_flows
-      << ",\"checkpoints\":" << s.checkpoints << "},\"phases\":{";
+  out << ",\"peak_queue_depth\":" << s.peak_queue_depth << "},\"phases\":{";
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     if (i > 0) {
       out << ',';
@@ -168,22 +125,7 @@ void EngineProfiler::write_json(std::ostream& out) const {
     out << '"' << util::json_escape(phases_[i].first) << "\":";
     write_double(out, phases_[i].second);
   }
-  out << "},\"samples\":[";
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    const ProfileSample& sample = samples_[i];
-    if (i > 0) {
-      out << ',';
-    }
-    out << "{\"sim_time_s\":";
-    write_double(out, sample.sim_time_s);
-    out << ",\"wall_seconds\":";
-    write_double(out, sample.wall_seconds);
-    out << ",\"events\":" << sample.events_dispatched << ",\"events_per_second\":";
-    write_double(out, sample.events_per_second);
-    out << ",\"queue_depth\":" << sample.queue_depth
-        << ",\"active_flows\":" << sample.active_flows << '}';
-  }
-  out << "]}\n";
+  out << "}}\n";
 }
 
 }  // namespace anyqos::obs

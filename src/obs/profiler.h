@@ -1,27 +1,24 @@
 // Engine profiling hooks (observability layer 3).
 //
-// Measures how fast the DES kernel itself runs, independent of what the
-// model computes: wall-clock phase timers (warm-up vs measurement vs
-// whatever the caller brackets) and throughput samples taken at configurable
-// simulated-time checkpoints — events/sec of wall time, pending-event queue
-// depth, and active flows. The numbers seed the BENCH_* trajectory: every
-// perf PR can quote events/sec before and after from the same hooks.
+// Answers one question the other planes do not: how a run's wall time split
+// across its phases (warm-up vs measurement vs drain, or whatever the caller
+// brackets), and how fast the DES kernel went overall — events per wall
+// second and simulated seconds per wall second.
 //
-// Attachment mirrors audit::InvariantAuditor: a self-rescheduling checkpoint
-// event on the kernel, installed before run(). Sampling reads existing
-// kernel counters (dispatched events, queue size), so the simulation's
-// virtual-time behaviour is untouched — the profiler only spends wall time.
+// The profiler schedules no events: every summary field is read from the
+// kernel's own counters (dispatched events, queue high-water mark), so an
+// attached profiler leaves the calendar, every artifact, and any drain
+// exactly as an unprofiled run would — it only spends wall time. Periodic
+// population and queue-depth series are the timeline's job (obs::Timeline).
 #pragma once
 
 #include <chrono>  // wall-clock throughput profiling; see ALLOW notes below
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/des/category.h"
 #include "src/obs/registry.h"
 
 namespace anyqos::des {
@@ -30,16 +27,6 @@ class Simulator;
 
 namespace anyqos::obs {
 
-/// One throughput checkpoint.
-struct ProfileSample {
-  double sim_time_s = 0.0;            ///< virtual clock at the checkpoint
-  double wall_seconds = 0.0;          ///< wall time since attach()
-  std::uint64_t events_dispatched = 0;  ///< kernel lifetime dispatch count
-  double events_per_second = 0.0;     ///< wall-clock rate since last sample
-  std::size_t queue_depth = 0;        ///< pending events at the checkpoint
-  std::size_t active_flows = 0;       ///< model population (0 if no source)
-};
-
 /// Aggregate over a profiled run.
 struct ProfileSummary {
   double sim_time_s = 0.0;
@@ -47,28 +34,16 @@ struct ProfileSummary {
   std::uint64_t events = 0;           ///< dispatched since attach()
   double events_per_second = 0.0;     ///< events / wall_seconds
   double sim_seconds_per_wall_second = 0.0;
-  std::size_t peak_queue_depth = 0;
-  std::size_t peak_active_flows = 0;
-  std::size_t checkpoints = 0;
+  std::size_t peak_queue_depth = 0;   ///< kernel pending-event high-water mark
 };
 
 /// Wall-clock phase timers plus DES throughput gauges. One instance profiles
 /// one kernel run; construct fresh per simulation.
 class EngineProfiler {
  public:
-  /// `checkpoint_interval_s` is the simulated-seconds period of the
-  /// self-rescheduling sample event attach() installs; <= 0 disables
-  /// periodic samples (call sample() manually).
-  explicit EngineProfiler(double checkpoint_interval_s = 100.0);
-
-  /// Starts the wall clock, snapshots the kernel's dispatch baseline, and
-  /// (when the interval is positive) installs the periodic checkpoint event.
-  /// `active_flows` optionally supplies the model population per sample.
+  /// Starts the wall clock and snapshots the kernel's dispatch baseline.
   /// Call before running the simulator; `simulator` must outlive this.
-  void attach(des::Simulator& simulator, std::function<std::size_t()> active_flows = {});
-
-  /// Takes one throughput sample now (requires a prior attach()).
-  void sample();
+  void attach(des::Simulator& simulator);
 
   /// RAII wall-clock timer; accumulates into the named phase on destruction.
   class PhaseScope {
@@ -97,28 +72,19 @@ class EngineProfiler {
     return phases_;
   }
 
-  [[nodiscard]] const std::vector<ProfileSample>& samples() const { return samples_; }
   /// Aggregate up to now (valid after attach()).
   [[nodiscard]] ProfileSummary summary() const;
 
   /// Registers the summary and phase timers as anyqos_engine_* gauges.
   void export_to(MetricsRegistry& registry) const;
-  /// One JSON object: {"summary":{...},"phases":{...},"samples":[...]}.
+  /// One JSON object: {"summary":{...},"phases":{...}}.
   void write_json(std::ostream& out) const;
 
  private:
-  void schedule_checkpoint();
-
-  double checkpoint_interval_s_;
   des::Simulator* simulator_ = nullptr;
-  des::EventCategory category_;  // "obs.profiler" kernel tag
-  std::function<std::size_t()> active_flows_;
   std::chrono::steady_clock::time_point attach_wall_{};
   std::uint64_t baseline_events_ = 0;
-  std::vector<ProfileSample> samples_;
   std::vector<std::pair<std::string, double>> phases_;
-  std::size_t peak_queue_depth_ = 0;
-  std::size_t peak_active_flows_ = 0;
 };
 
 }  // namespace anyqos::obs

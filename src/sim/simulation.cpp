@@ -33,7 +33,7 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
       probe_(ledger_, counter_),
       arrivals_(config_.traffic, simulator_.seeds()),
       selection_rng_(simulator_.stream("selection")),
-      metrics_(group_.size(), config_.ci_batches),
+      metrics_(group_.size()),
       link_utilization_(topology.link_count()) {
   util::require(config_.warmup_s >= 0.0, "warmup must be non-negative");
   util::require(config_.measure_s > 0.0, "measurement window must be positive");
@@ -599,16 +599,12 @@ void Simulation::handle_arrival() {
   // Drain control-plane waiting unconditionally so warm-up waits never leak
   // into the first measured request's delay.
   const double control_wait = rsvp_->consume_pending_wait();
-  if (metrics_.measuring() && (config_.signaling_hop_delay_s > 0.0 || control_wait > 0.0)) {
-    // Message walks are sequential within one request, so the setup delay is
-    // the hop count of all its signaling traversals times the per-hop
-    // latency, plus whatever the resilient control plane spent waiting
-    // (retransmission timeouts, backoff, injected hop delay).
-    const double delay =
-        static_cast<double>(decision.messages) * config_.signaling_hop_delay_s +
-        control_wait;
-    setup_delay_.add(delay);
-    setup_delay_p95_.add(delay);
+  if (metrics_.measuring() && control_wait > 0.0) {
+    // The setup delay is whatever the resilient control plane spent waiting
+    // on this request's walks (injected hop delay, retransmission timeouts,
+    // backoff); the plain protocol signals instantly.
+    setup_delay_.add(control_wait);
+    setup_delay_p95_.add(control_wait);
   }
   if (!decision.admitted) {
     emit_trace(TraceEventKind::kRejected, request.request_id, request.source,
@@ -1072,7 +1068,7 @@ SimulationResult Simulation::run() {
   ran_ = true;
 
   if (config_.profiler != nullptr) {
-    config_.profiler->attach(simulator_, [this] { return flows_.size(); });
+    config_.profiler->attach(simulator_);
   }
   if (timeline_ != nullptr) {
     // Register columns before the first event so the artifact's schema is

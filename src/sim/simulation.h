@@ -87,12 +87,6 @@ struct SimulationConfig {
   double warmup_s = 2'000.0;                 ///< discarded transient
   double measure_s = 20'000.0;               ///< measurement window length
   std::uint64_t seed = 1;                    ///< master seed (common random numbers)
-  /// One-way per-hop latency of a signaling message, seconds. Setup delay of
-  /// a request = its sequential message walks x this (paper Section 5.1:
-  /// admission delay is proportional to the reservation messages). 0 keeps
-  /// the delay metric silent.
-  double signaling_hop_delay_s = 0.0;
-  std::size_t ci_batches = 20;               ///< batch-means batches for the AP CI
   std::vector<LinkFault> faults;             ///< optional outage schedule
 
   // --- Robustness extension (DAC runs only) ---
@@ -162,8 +156,9 @@ struct SimulationConfig {
   /// installed. Spans cover warm-up too (request ids start at 1).
   obs::DecisionTracer* tracer = nullptr;
   /// Optional engine profiler (must outlive the simulation). run() attaches
-  /// it to the kernel before the first event and brackets the warm-up and
-  /// measurement phases with wall-clock timers.
+  /// it to the kernel before the first event and brackets the warm-up,
+  /// measurement and drain phases with wall-clock timers. It schedules no
+  /// events, so every artifact matches an unprofiled run.
   obs::EngineProfiler* profiler = nullptr;
   /// Optional windowed telemetry sampler (must outlive the simulation; one
   /// Timeline records one run — construct fresh per simulation). run()
@@ -283,8 +278,9 @@ struct SimulationResult {
   /// Mean queueing+service delay at the central agency per request, seconds
   /// (0 for DAC/GDI runs — their decisions are local).
   double average_decision_delay_s = 0.0;
-  /// Signaling setup delay per request (messages x per-hop latency):
-  /// mean and 95th percentile. Zero when signaling_hop_delay_s is 0.
+  /// Signaling setup delay per request: the resilient control plane's
+  /// waiting (hop delay, retransmission timeouts, backoff), mean and 95th
+  /// percentile. Zero without the resilient plane.
   double average_setup_delay_s = 0.0;
   double p95_setup_delay_s = 0.0;
 };

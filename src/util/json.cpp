@@ -400,9 +400,8 @@ void JsonValue::push_back(JsonValue value) {
 }
 
 std::string json_number(double value) {
-  // Same convention as the ops log (control/directive.cpp): integral values
-  // render as integers so "2" survives a round-trip as "2", everything else
-  // uses %.17g which round-trips IEEE doubles exactly.
+  // Integral values render as integers so "2" survives a round-trip as "2";
+  // everything else uses %.17g, which round-trips IEEE doubles exactly.
   if (value == std::floor(value) && std::abs(value) < 1e15) {
     return std::to_string(static_cast<long long>(value));
   }

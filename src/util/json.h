@@ -4,9 +4,9 @@
 // round-trip byte-identically through save -> load -> save, so objects
 // preserve insertion order (a sorted or hashed map would either reorder
 // user files or trip the determinism contract's unordered-iteration rule).
-// Numbers render with the same convention as the ops log
-// (control/directive.cpp): integral values via integer formatting,
-// everything else via "%.17g", which round-trips IEEE doubles exactly.
+// Numbers render via json_number, which the ops log (control/directive.cpp)
+// uses too: integral values via integer formatting, everything else via
+// "%.17g", which round-trips IEEE doubles exactly.
 //
 // This is not a general-purpose JSON library: no comments, no trailing
 // commas, UTF-8 passthrough (\uXXXX escapes are emitted for control
@@ -82,8 +82,9 @@ class JsonValue {
   void write(std::string& out, bool pretty, int indent) const;
 };
 
-/// Formats a double the way the ops log does: integer rendering when the
-/// value is integral and fits, "%.17g" otherwise (exact double round-trip).
+/// Formats a double for JSON (scenario files, the ops log): integer
+/// rendering when the value is integral and fits, "%.17g" otherwise (exact
+/// double round-trip).
 std::string json_number(double value);
 
 /// Parses a complete JSON document. Throws std::invalid_argument with a

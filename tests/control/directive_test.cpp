@@ -95,7 +95,8 @@ TEST(OpsLog, RoundTripsThroughLoad) {
 
 TEST(OpsLog, LoadRejectsMalformedAndOutOfOrderEntries) {
   {
-    std::istringstream in("{\"ops\":\"directive\",\"t\":10,\"knob\":\"nope\",\"value\":1}\n");
+    std::istringstream in(
+        "{\"ops\":\"directive\",\"t\":10,\"knob\":\"nope\",\"value\":1,\"applied\":1}\n");
     EXPECT_THROW(load_ops_log(in), std::invalid_argument);
   }
   {
@@ -105,13 +106,28 @@ TEST(OpsLog, LoadRejectsMalformedAndOutOfOrderEntries) {
   {
     // Valid knob, invalid value for its domain.
     std::istringstream in(
-        "{\"ops\":\"directive\",\"t\":10,\"knob\":\"retrial-ceiling\",\"value\":0}\n");
+        "{\"ops\":\"directive\",\"t\":10,\"knob\":\"retrial-ceiling\",\"value\":0,"
+        "\"applied\":0}\n");
     EXPECT_THROW(load_ops_log(in), std::invalid_argument);
   }
   {
     std::istringstream in(
-        "{\"ops\":\"directive\",\"t\":20,\"knob\":\"shed-budget\",\"value\":1}\n"
-        "{\"ops\":\"directive\",\"t\":10,\"knob\":\"shed-budget\",\"value\":2}\n");
+        "{\"ops\":\"directive\",\"t\":20,\"knob\":\"shed-budget\",\"value\":1,\"applied\":1}\n"
+        "{\"ops\":\"directive\",\"t\":10,\"knob\":\"shed-budget\",\"value\":2,\"applied\":2}\n");
+    EXPECT_THROW(load_ops_log(in), std::invalid_argument);
+  }
+  // Each line below would read as t=5 value=3 to a reader that searched for
+  // the fields by substring. The reader takes exactly the writer's five keys,
+  // each with its JSON type: no duplicate key, trailing bytes, quoted
+  // number, extra key, or non-JSON line gets through.
+  for (const char* line : {
+           R"({"ops":"directive","t":5,"t":7,"knob":"shed-budget","value":3,"applied":3})",
+           R"({"ops":"directive","t":5,"knob":"shed-budget","value":3,"applied":3} x)",
+           R"({"ops":"directive","t":"5","knob":"shed-budget","value":"3","applied":"3"})",
+           R"({"ops":"directive","t":5,"knob":"shed-budget","value":3,"applied":3,"note":"x"})",
+           R"(directive "ops":"directive" "t":5, "knob":"shed-budget" "value":3})"}) {
+    SCOPED_TRACE(line);
+    std::istringstream in(line);
     EXPECT_THROW(load_ops_log(in), std::invalid_argument);
   }
 }

@@ -6,8 +6,10 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "src/net/topologies.h"
+#include "src/obs/kernel_stats.h"
 #include "src/obs/profiler.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
@@ -192,7 +194,7 @@ TEST(ObservabilityIntegration, ProfilerObservesTheRunWithoutPerturbingIt) {
   sim::Simulation plain(topo, config);
   const sim::SimulationResult baseline = plain.run();
 
-  obs::EngineProfiler profiler(50.0);
+  obs::EngineProfiler profiler;
   config.profiler = &profiler;
   sim::Simulation profiled(topo, config);
   const sim::SimulationResult observed = profiled.run();
@@ -205,13 +207,70 @@ TEST(ObservabilityIntegration, ProfilerObservesTheRunWithoutPerturbingIt) {
 
   const obs::ProfileSummary summary = profiler.summary();
   EXPECT_GT(summary.events, 0u);
+  EXPECT_GT(summary.wall_seconds, 0.0);
   EXPECT_GT(summary.events_per_second, 0.0);
-  EXPECT_EQ(summary.checkpoints, 8u);  // 400 s / 50 s
-  EXPECT_GT(summary.peak_queue_depth, 0u);
-  EXPECT_GT(summary.peak_active_flows, 0u);
+  EXPECT_GT(summary.sim_seconds_per_wall_second, 0.0);
+  EXPECT_EQ(summary.events, profiled.simulator().dispatched_events());
+  EXPECT_EQ(summary.peak_queue_depth, profiled.simulator().peak_pending_events());
   EXPECT_GT(profiler.phase_seconds("measure"), 0.0);
   // warmup_s is 0, so the warmup phase is timed but essentially empty.
   EXPECT_LT(profiler.phase_seconds("warmup"), profiler.phase_seconds("measure"));
+}
+
+// The profiler schedules nothing, so a draining run still runs its calendar
+// dry: the unbounded drain returns, and a capped one never trips.
+TEST(ObservabilityIntegration, ProfiledDrainEndsWithAnEmptyCalendar) {
+  const net::Topology topo = net::topologies::mci_backbone();
+  sim::SimulationConfig config = small_mci_config();
+  config.drain_to_quiescence = true;
+
+  config.drain_max_events = 100'000;
+  obs::EngineProfiler capped_profiler;
+  config.profiler = &capped_profiler;
+  sim::Simulation capped(topo, config);
+  (void)capped.run();
+  // ASSERT, not EXPECT: if the drain cannot quiesce, the unbounded run
+  // below would never return.
+  ASSERT_FALSE(capped.drain_watchdog().tripped) << capped.drain_watchdog().reason;
+  EXPECT_EQ(capped.simulator().pending_events(), 0u);
+
+  config.drain_max_events = 0;
+  obs::EngineProfiler profiler;
+  config.profiler = &profiler;
+  sim::Simulation unbounded(topo, config);
+  (void)unbounded.run();
+  EXPECT_EQ(unbounded.simulator().pending_events(), 0u);
+  EXPECT_EQ(unbounded.simulator().dispatched_events(),
+            capped.simulator().dispatched_events());
+  ASSERT_EQ(profiler.phases().size(), 3u);
+  EXPECT_EQ(profiler.phases().back().first, "drain");
+}
+
+// Attaching the profiler changes no kernel telemetry: same dispatch count
+// and byte-equal kernel-stats artifact (same category taxonomy, same
+// per-category counts) as an unprofiled run at the same seed.
+TEST(ObservabilityIntegration, ProfilerLeavesKernelTelemetryUnchanged) {
+  const net::Topology topo = net::topologies::mci_backbone();
+  sim::SimulationConfig config = small_mci_config();
+  config.faults = sim::random_fault_schedule(topo, config.measure_s, 0.001, 50.0,
+                                             config.seed + 1);
+  const auto run = [&](obs::EngineProfiler* profiler) {
+    obs::KernelStats stats;
+    sim::SimulationConfig run_config = config;
+    run_config.kernel_stats = &stats;
+    run_config.profiler = profiler;
+    sim::Simulation simulation(topo, run_config);
+    (void)simulation.run();
+    std::ostringstream jsonl;
+    stats.write_jsonl(jsonl);
+    return std::make_pair(simulation.simulator().dispatched_events(), jsonl.str());
+  };
+  const auto [plain_events, plain_jsonl] = run(nullptr);
+  obs::EngineProfiler profiler;
+  const auto [profiled_events, profiled_jsonl] = run(&profiler);
+  EXPECT_EQ(profiled_events, plain_events);
+  EXPECT_EQ(profiled_jsonl, plain_jsonl);
+  EXPECT_EQ(profiler.summary().events, plain_events);
 }
 
 }  // namespace

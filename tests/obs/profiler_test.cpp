@@ -19,66 +19,25 @@ void install_event_chain(des::Simulator& sim, int count) {
 }
 
 TEST(EngineProfiler, ChecksSampleAndSummaryPreconditions) {
-  EngineProfiler profiler(0.0);
-  EXPECT_THROW(profiler.sample(), std::invalid_argument);
+  EngineProfiler profiler;
   EXPECT_THROW((void)profiler.summary(), std::invalid_argument);
   des::Simulator sim;
   profiler.attach(sim);
   EXPECT_THROW(profiler.attach(sim), std::invalid_argument);
 }
 
-TEST(EngineProfiler, PeriodicCheckpointsSampleThroughput) {
-  des::Simulator sim;
-  install_event_chain(sim, 100);
-  EngineProfiler profiler(10.0);
-  std::size_t flows = 5;
-  profiler.attach(sim, [&flows] { return flows; });
-  sim.run_until(100.5);
-
-  // 100 s of chain / 10 s interval = 10 checkpoints.
-  EXPECT_EQ(profiler.samples().size(), 10u);
-  EXPECT_DOUBLE_EQ(profiler.samples().front().sim_time_s, 10.0);
-  EXPECT_DOUBLE_EQ(profiler.samples().back().sim_time_s, 100.0);
-  for (const ProfileSample& sample : profiler.samples()) {
-    EXPECT_EQ(sample.active_flows, 5u);
-    EXPECT_GE(sample.wall_seconds, 0.0);
-  }
-
-  const ProfileSummary summary = profiler.summary();
-  // 100 chain events + 10 checkpoint events fired so far.
-  EXPECT_EQ(summary.events, 110u);
-  EXPECT_EQ(summary.checkpoints, 10u);
-  EXPECT_GT(summary.wall_seconds, 0.0);
-  EXPECT_GT(summary.events_per_second, 0.0);
-  EXPECT_GT(summary.sim_seconds_per_wall_second, 0.0);
-  EXPECT_EQ(summary.peak_active_flows, 5u);
-  EXPECT_GE(summary.peak_queue_depth, 1u);
-}
-
-TEST(EngineProfiler, DisabledIntervalMeansManualSamplesOnly) {
-  des::Simulator sim;
-  install_event_chain(sim, 10);
-  EngineProfiler profiler(0.0);
-  profiler.attach(sim);
-  sim.run_until(20.0);
-  EXPECT_TRUE(profiler.samples().empty());
-  profiler.sample();
-  ASSERT_EQ(profiler.samples().size(), 1u);
-  EXPECT_EQ(profiler.samples().front().events_dispatched, 10u);
-}
-
 TEST(EngineProfiler, AttachBaselineExcludesEarlierEvents) {
   des::Simulator sim;
   install_event_chain(sim, 10);
   sim.run_until(5.5);  // 5 events before the profiler exists
-  EngineProfiler profiler(0.0);
+  EngineProfiler profiler;
   profiler.attach(sim);
   sim.run_until(100.0);
   EXPECT_EQ(profiler.summary().events, 5u);  // only the 5 after attach
 }
 
 TEST(EngineProfiler, PhaseScopesAccumulateWallTime) {
-  EngineProfiler profiler(0.0);
+  EngineProfiler profiler;
   {
     const auto scope = profiler.phase("warmup");
     (void)scope;
@@ -101,12 +60,12 @@ TEST(EngineProfiler, PhaseScopesAccumulateWallTime) {
 
 TEST(EngineProfiler, SummaryUsesKernelQueueHighWaterMark) {
   des::Simulator sim;
-  // Burst of simultaneous events: queue depth spikes to 50 with no
-  // checkpoint anywhere near — the kernel high-water mark must catch it.
+  // Burst of near-simultaneous events: queue depth spikes to 50 and
+  // drains again; the summary reports the kernel's high-water mark.
   for (int i = 0; i < 50; ++i) {
     sim.schedule_in(1.0 + 0.001 * i, [] {});
   }
-  EngineProfiler profiler(0.0);
+  EngineProfiler profiler;
   profiler.attach(sim);
   sim.run_until(10.0);
   EXPECT_EQ(profiler.summary().peak_queue_depth, 50u);
@@ -115,7 +74,7 @@ TEST(EngineProfiler, SummaryUsesKernelQueueHighWaterMark) {
 TEST(EngineProfiler, ExportsEngineGaugesToRegistry) {
   des::Simulator sim;
   install_event_chain(sim, 20);
-  EngineProfiler profiler(0.0);
+  EngineProfiler profiler;
   profiler.attach(sim);
   {
     const auto scope = profiler.phase("measure");
@@ -133,7 +92,7 @@ TEST(EngineProfiler, ExportsEngineGaugesToRegistry) {
 TEST(EngineProfiler, WritesJsonReport) {
   des::Simulator sim;
   install_event_chain(sim, 5);
-  EngineProfiler profiler(2.0);
+  EngineProfiler profiler;
   profiler.attach(sim);
   {
     const auto scope = profiler.phase("measure");
@@ -146,8 +105,7 @@ TEST(EngineProfiler, WritesJsonReport) {
   EXPECT_NE(text.find("\"summary\":{"), std::string::npos);
   EXPECT_NE(text.find("\"events\":"), std::string::npos);
   EXPECT_NE(text.find("\"phases\":{\"measure\":"), std::string::npos);
-  EXPECT_NE(text.find("\"samples\":["), std::string::npos);
-  EXPECT_NE(text.find("\"queue_depth\":"), std::string::npos);
+  EXPECT_NE(text.find("\"peak_queue_depth\":"), std::string::npos);
 }
 
 }  // namespace
