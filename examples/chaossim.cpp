@@ -8,8 +8,9 @@
 // a throwing InvariantAuditor and passes when it ends with an empty flow
 // table, zero reserved bandwidth, zero pending orphans, an empty path-repair
 // queue, no Open breaker, and a signaling hop tally that reconciles exactly
-// with the MessageCounter. Exits nonzero if any cell fails, which makes the
-// binary a CI gate.
+// with the MessageCounter. Exits 1 if any cell fails, which makes the
+// binary a CI gate; a rejected flag prints one `chaossim: ...` line and
+// exits 2.
 //
 // Cells on the node-fault axis (--node-mtbfs entries > 0) run the full
 // failure-domain plane: Poisson router crashes, link-state flooding
@@ -25,6 +26,7 @@
 // member churn, or audit finding fires, the cell's bounded causal snapshot
 // is written to <flight-prefix>-cell<N>.jsonl (cells without a trigger write
 // nothing).
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -166,9 +168,7 @@ std::ofstream open_output(const std::string& path) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags("chaossim",
                        "Chaos matrix for the resilient signaling plane (CI gate)");
   flags.add_string("scenario", "",
@@ -485,4 +485,15 @@ int main(int argc, char** argv) {
               << " requests served across the matrix\n";
   }
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "chaossim: " << error.what() << "\n";
+    return 2;
+  }
 }

@@ -6,13 +6,15 @@
 // fault flags write a scenario (sim/scenario.h) that is lowered exactly like
 // a --scenario file; the remaining flags attach observers to the run.
 // Prints the aggregate results the paper reports plus this library's extra
-// diagnostics.
+// diagnostics. A rejected flag or configuration prints one `dacsim: ...`
+// line and exits 2.
 //
 //   $ ./dacsim --algorithm=WD/D+H --retries=2 --lambda=35
 //   $ ./dacsim --topology=grid:4x5 --group=0,7,19 --sources=2,9,12 --lambda=8
 //   $ ./dacsim --topology=file:mynet.topo --gdi --trace=/tmp/events.csv
 //   $ ./dacsim --metrics-out=run.prom --spans-out=spans.jsonl --profile
 //   $ ./dacsim --timeline-out=tl.csv --flight-recorder=flight.jsonl --fault-rate=1e-4
+#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -130,9 +132,7 @@ sim::Scenario scenario_from_flags(const util::CliFlags& flags) {
   return scenario;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags("dacsim", "Configurable DAC anycast-flow simulation");
   flags.add_string("scenario", "",
                    "run this scenario file (sim/scenario.h); replaces the workload/system/"
@@ -509,4 +509,15 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "dacsim: " << error.what() << "\n";
+    return 2;
+  }
 }

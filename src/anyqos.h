@@ -73,8 +73,6 @@
 #include "src/sim/flow_table.h"
 #include "src/sim/metrics.h"
 #include "src/sim/metrics_export.h"
-#include "src/sim/multi_group.h"
-#include "src/sim/replicate.h"
 #include "src/sim/simulation.h"
 #include "src/sim/trace.h"
 #include "src/sim/traffic.h"

@@ -53,23 +53,7 @@ EventCategory Simulator::category(std::string_view name) {
 }
 
 std::size_t Simulator::run_until(double until) {
-  util::require(until >= now_, "run_until target precedes current time");
-  stop_requested_ = false;
-  std::size_t fired = 0;
-  while (!queue_.empty() && !stop_requested_) {
-    if (queue_.next_time() > until) {
-      now_ = until;
-      return fired;
-    }
-    EventQueue::Fired event = queue_.pop();
-    now_ = event.time;
-    if (kernel_sink_ != nullptr) {
-      kernel_sink_->on_fired(event.category, event.scheduled_at, now_);
-    }
-    event.action();
-    ++dispatched_;
-    ++fired;
-  }
+  const std::size_t fired = run_bounded(until, 0);
   if (queue_.empty() && std::isfinite(until)) {
     now_ = until;
   }
@@ -77,11 +61,11 @@ std::size_t Simulator::run_until(double until) {
 }
 
 std::size_t Simulator::run_bounded(double until, std::size_t max_events) {
-  util::require(until >= now_, "run_bounded target precedes current time");
-  stop_requested_ = false;
+  util::require(until >= now_, "run target precedes current time");
+  const std::size_t budget =
+      max_events == 0 ? std::numeric_limits<std::size_t>::max() : max_events;
   std::size_t fired = 0;
-  while (!queue_.empty() && !stop_requested_ &&
-         (max_events == 0 || fired < max_events)) {
+  while (!queue_.empty() && fired < budget) {
     if (queue_.next_time() > until) {
       now_ = until;
       return fired;
@@ -95,9 +79,6 @@ std::size_t Simulator::run_bounded(double until, std::size_t max_events) {
     ++dispatched_;
     ++fired;
   }
-  // Unlike run_until, an emptied queue leaves the clock at the last event: a
-  // bounded drain ends at quiescence, not at the cap, so a watchdog-enabled
-  // run that drains cleanly matches an unbounded run() exactly.
   return fired;
 }
 

@@ -82,29 +82,23 @@ class Simulator {
   [[nodiscard]] KernelSink* kernel_sink() const { return kernel_sink_; }
 
   /// Dispatches events in timestamp order until the queue is empty or the
-  /// next event is strictly after `until`. The clock ends at
-  /// min(until, last event time) — or `until` exactly when events remain.
-  /// Returns the number of events dispatched.
+  /// next event is strictly after `until`. The clock ends at `until` when it
+  /// is finite, else at the last event time. Returns the number of events
+  /// dispatched.
   std::size_t run_until(double until);
 
   /// Runs until the event queue is empty. Returns events dispatched.
   std::size_t run() { return run_until(std::numeric_limits<double>::infinity()); }
 
-  /// run_until with an event budget: dispatches at most `max_events` events
-  /// (0 = unlimited, identical to run_until). A drain that would otherwise
-  /// spin forever — a self-rescheduling timer that never stops, a
-  /// ping-ponging pair — exhausts the budget and returns with the remaining
-  /// events still queued, so callers can diagnose instead of hang
-  /// (sim::Simulation's drain watchdog). Unlike run_until, an emptied queue
-  /// leaves the clock at the last dispatched event rather than advancing to
-  /// `until`: a bounded drain that completes ends at quiescence, exactly
-  /// like run(). Off the hot path by construction: bounded runs are for
-  /// drains, run_until stays branch-free.
+  /// The dispatch loop itself, with an event budget: dispatches at most
+  /// `max_events` events (0 = unlimited). A drain that would otherwise spin
+  /// forever — a self-rescheduling timer that never stops, a ping-ponging
+  /// pair — exhausts the budget and returns with the remaining events still
+  /// queued, so callers can diagnose instead of hang (sim::Simulation's
+  /// drain watchdog). Unlike run_until, an emptied queue leaves the clock at
+  /// the last dispatched event rather than advancing to `until`: a bounded
+  /// drain that completes ends at quiescence, exactly like run().
   std::size_t run_bounded(double until, std::size_t max_events);
-
-  /// Stops the current run_until loop after the in-flight event completes.
-  /// Pending events stay queued; a later run_until resumes them.
-  void stop() { stop_requested_ = true; }
 
   /// Live events still queued.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
@@ -124,7 +118,6 @@ class Simulator {
   double now_ = 0.0;
   std::uint64_t dispatched_ = 0;
   std::size_t peak_pending_ = 0;
-  bool stop_requested_ = false;
   KernelSink* kernel_sink_ = nullptr;
   std::vector<std::string> category_names_{std::string("uncategorized")};
 };

@@ -30,27 +30,6 @@ ExperimentModel paper_model() {
   return model;
 }
 
-std::vector<SweepPoint> sweep_lambda(
-    const ExperimentModel& model, const std::vector<double>& lambdas,
-    const std::function<void(SimulationConfig&)>& configure) {
-  util::require(!lambdas.empty(), "sweep needs at least one rate");
-  std::vector<SweepPoint> points;
-  points.reserve(lambdas.size());
-  for (const double lambda : lambdas) {
-    SimulationConfig config = model.base_config(lambda);
-    if (configure) {
-      configure(config);
-    }
-    Simulation simulation(model.topology, config);
-    points.push_back(SweepPoint{lambda, simulation.run()});
-  }
-  return points;
-}
-
-std::vector<double> default_lambda_grid() {
-  return {5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0};
-}
-
 void apply_run_controls(SimulationConfig& config, const RunControls& controls) {
   util::require(controls.measure_s > 0.0, "measurement window must be positive");
   config.warmup_s = controls.warmup_s;

@@ -1,9 +1,8 @@
-// The paper's experimental model (Section 5.1) and sweep harness shared by
-// all benchmark binaries and integration tests.
+// The paper's experimental model (Section 5.1) and run-control helpers
+// shared by all benchmark binaries and integration tests.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "src/net/topologies.h"
@@ -30,24 +29,6 @@ struct ExperimentModel {
 
 /// Builds the Section 5.1 model on the MCI-like backbone.
 ExperimentModel paper_model();
-
-/// One row of a lambda sweep.
-struct SweepPoint {
-  double lambda = 0.0;
-  SimulationResult result;
-};
-
-/// Runs `configure(base_config(lambda))` for every rate in `lambdas`.
-///
-/// All points share the same master seed (common random numbers): comparing
-/// systems at equal lambda sees identical arrival processes, which sharpens
-/// the ordering comparisons the paper makes in Figures 6-7.
-std::vector<SweepPoint> sweep_lambda(
-    const ExperimentModel& model, const std::vector<double>& lambdas,
-    const std::function<void(SimulationConfig&)>& configure);
-
-/// The arrival-rate grid used by the figure benches (5, 10, ..., 50).
-std::vector<double> default_lambda_grid();
 
 /// Applies run-length overrides commonly exposed as bench flags.
 struct RunControls {

@@ -18,7 +18,8 @@ struct ActiveFlow {
   /// The admission request that created the flow (trace/span join key).
   std::uint64_t request_id = 0;
   net::NodeId source = net::kInvalidNode;
-  std::size_t destination_index = 0;  ///< index into the anycast group
+  std::uint32_t group = 0;            ///< the flow's anycast group (0 = primary)
+  std::size_t destination_index = 0;  ///< index into that group's members
   net::Path route;                    ///< links holding the reservation
   net::Bandwidth bandwidth_bps = 0.0;
   double admitted_at = 0.0;

@@ -49,8 +49,6 @@ void MetricsCollector::record_active_flows(double now, std::size_t active) {
   active_flows_.update(now, static_cast<double>(active));
 }
 
-void MetricsCollector::record_dropped_flow() { record_teardown(TeardownCause::kLinkFault); }
-
 void MetricsCollector::record_teardown(TeardownCause cause) {
   const auto index = static_cast<std::size_t>(cause);
   util::require(index < kTeardownCauseCount, "unknown teardown cause");

@@ -44,9 +44,6 @@ class MetricsCollector {
                        std::size_t destination_index);
   /// Records the active-flow count after it changed at time `now`.
   void record_active_flows(double now, std::size_t active);
-  /// Records a flow torn down by a link failure (fault extension).
-  /// Equivalent to record_teardown(TeardownCause::kLinkFault).
-  void record_dropped_flow();
   /// Records one flow teardown attributed to `cause`. Fault and churn
   /// teardowns also count as dropped flows.
   void record_teardown(TeardownCause cause);

@@ -163,7 +163,7 @@ void export_metrics(const Simulation& simulation, const SimulationConfig& config
 
   if (config.kernel_stats != nullptr) {
     // Kernel telemetry families appear only when the sink rode the run,
-    // keeping the exposition byte-identical for plain runs (DESIGN.md Â§15).
+    // keeping the exposition byte-identical for plain runs (DESIGN.md §15).
     config.kernel_stats->export_to(registry, system);
   }
 

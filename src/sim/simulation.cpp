@@ -15,25 +15,58 @@ namespace anyqos::sim {
 
 namespace {
 
-std::vector<net::NodeId> checked_members(const std::vector<net::NodeId>& members) {
-  util::require(!members.empty(), "simulation needs a non-empty anycast group");
-  return members;
+/// The primary group, described by the config's top-level fields.
+GroupSpec primary_spec(const SimulationConfig& config) {
+  GroupSpec spec;
+  spec.address = "anycast://sim";
+  spec.members = config.group_members;
+  spec.arrival_rate = config.traffic.arrival_rate;
+  spec.flow_bandwidth_bps = config.traffic.flow_bandwidth_bps;
+  spec.algorithm = config.algorithm;
+  spec.max_tries = config.max_tries;
+  spec.alpha = config.alpha;
+  return spec;
+}
+
+void validate_group(const GroupSpec& spec, const net::Topology& topology) {
+  util::require(!spec.members.empty(), "simulation needs a non-empty anycast group");
+  for (const net::NodeId m : spec.members) {
+    util::require(m < topology.router_count(), "group member out of range");
+  }
+  util::require(spec.max_tries >= 1, "retrial bound R must be at least 1");
+  util::require(spec.alpha >= 0.0 && spec.alpha <= 1.0, "alpha must be in [0,1]");
+}
+
+/// A group's traffic: the run's sources and holding times at its own rate
+/// and flow size.
+TrafficModel group_traffic(const TrafficModel& shared, const GroupSpec& spec) {
+  TrafficModel traffic = shared;
+  traffic.arrival_rate = spec.arrival_rate;
+  traffic.flow_bandwidth_bps = spec.flow_bandwidth_bps;
+  return traffic;
 }
 
 }  // namespace
 
+Simulation::GroupState::GroupState(const net::Topology& topology, const GroupSpec& spec,
+                                   const TrafficModel& shared, const des::SeedSequence& seeds,
+                                   std::string_view stream_prefix)
+    : group(spec.address, spec.members),
+      routes(topology, spec.members),
+      arrivals(group_traffic(shared, spec), seeds, stream_prefix),
+      algorithm(spec.algorithm),
+      max_tries(spec.max_tries),
+      alpha(spec.alpha),
+      metrics(spec.members.size()) {}
+
 Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
     : topology_(&topology),
       config_(std::move(config)),
-      group_("anycast://sim", checked_members(config_.group_members)),
       ledger_(topology, config_.anycast_share),
-      routes_(topology, config_.group_members),
       simulator_(config_.seed),
       control_rng_(simulator_.stream("control-plane")),
       probe_(ledger_, counter_),
-      arrivals_(config_.traffic, simulator_.seeds()),
       selection_rng_(simulator_.stream("selection")),
-      metrics_(group_.size()),
       link_utilization_(topology.link_count()) {
   util::require(config_.warmup_s >= 0.0, "warmup must be non-negative");
   util::require(config_.measure_s > 0.0, "measurement window must be positive");
@@ -41,8 +74,10 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
   for (const net::NodeId s : config_.traffic.sources) {
     util::require(s < topology.router_count(), "source router out of range");
   }
-  for (const net::NodeId m : config_.group_members) {
-    util::require(m < topology.router_count(), "group member out of range");
+  const GroupSpec primary_group = primary_spec(config_);
+  validate_group(primary_group, topology);
+  for (const GroupSpec& spec : config_.extra_groups) {
+    validate_group(spec, topology);
   }
   for (const LinkFault& fault : config_.faults) {
     util::require(topology.find_link(fault.a, fault.b).has_value(),
@@ -50,7 +85,7 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
     util::require(fault.repair_at > fault.fail_at, "fault repair must follow failure");
   }
   for (const MemberChurnEvent& event : config_.churn) {
-    util::require(event.member_index < group_.size(),
+    util::require(event.member_index < primary_group.members.size(),
                   "churn event references a member outside the group");
     util::require(event.up_at > event.down_at, "member recovery must follow the outage");
   }
@@ -83,6 +118,26 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
   for (std::size_t i = 1; i < config_.ops_replay.size(); ++i) {
     util::require(config_.ops_replay[i - 1].apply_at <= config_.ops_replay[i].apply_at,
                   "ops replay directives must be sorted by apply time");
+  }
+  if (!config_.extra_groups.empty()) {
+    // These planes index the members of one group (or, for GDI and the
+    // central agency, decide for one group), so they stay single-group.
+    // Path repair and ops steering need reconvergence and the governor.
+    util::require(is_dac, "GDI and the centralized baseline run one group only");
+    util::require(config_.churn.empty(), "member churn cannot run with extra groups");
+    util::require(config_.governor == nullptr,
+                  "the overload governor cannot run with extra groups");
+    util::require(config_.node_faults.empty(), "node faults cannot run with extra groups");
+    util::require(config_.reconvergence == nullptr,
+                  "routing reconvergence cannot run with extra groups");
+  }
+  // Streams of extra group i derive under "group<i>/"; the primary keeps the
+  // unprefixed names, so a single-group run draws exactly as before.
+  groups_.reserve(1 + config_.extra_groups.size());
+  groups_.emplace_back(topology, primary_group, config_.traffic, simulator_.seeds(), "");
+  for (std::size_t i = 0; i < config_.extra_groups.size(); ++i) {
+    groups_.emplace_back(topology, config_.extra_groups[i], config_.traffic, simulator_.seeds(),
+                         "group" + std::to_string(i + 1) + "/");
   }
   // Kernel category taxonomy for the flow plane (DESIGN.md §15). Interned
   // before any component construction so these always take the low ids;
@@ -127,7 +182,7 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
   flight_ = config_.flight_recorder;
   governor_ = config_.governor;
   if (governor_ != nullptr) {
-    governor_->bind(group_.size(), config_.max_tries);
+    governor_->bind(primary().group.size(), config_.max_tries);
   }
   if (resilient_ != nullptr && flight_ != nullptr) {
     // Satellite triggers from the recovery machinery: a retransmit-budget
@@ -143,30 +198,32 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
         });
   }
   if (config_.use_gdi) {
-    oracle_ = std::make_unique<core::GlobalAdmissionOracle>(topology, ledger_, group_);
+    oracle_ = std::make_unique<core::GlobalAdmissionOracle>(topology, ledger_, primary().group);
   } else if (config_.use_centralized) {
     central_ = std::make_unique<core::CentralizedController>(
-        topology, ledger_, group_, routes_, *rsvp_, config_.controller_node,
+        topology, ledger_, primary().group, primary().routes, *rsvp_, config_.controller_node,
         config_.controller_rate);
   } else {
-    // One AC-router (controller) per distinct source, each with its own
-    // selector state — weights and history are local per the paper.
-    controllers_.resize(topology.router_count());
+    // One AC-router (controller) per distinct source and group, each with
+    // its own selector state — weights and history are local per the paper.
+    for (GroupState& state : groups_) {
+      state.controllers.resize(topology.router_count());
+    }
   }
 }
 
-core::AdmissionController& Simulation::controller_for(net::NodeId source) {
+core::AdmissionController& Simulation::controller_for(GroupState& state, net::NodeId source) {
   util::ensure(!config_.use_gdi, "GDI runs have no per-source controllers");
-  auto& slot = controllers_[source];
+  auto& slot = state.controllers[source];
   if (slot == nullptr) {
     core::SelectorEnvironment env;
     env.source = source;
-    env.group = &group_;
-    env.routes = &routes_;
+    env.group = &state.group;
+    env.routes = &state.routes;
     env.probe = &probe_;
-    env.alpha = config_.alpha;
+    env.alpha = state.alpha;
     env.wdb_mask_infeasible = config_.wdb_mask_infeasible;
-    env.flow_bandwidth = config_.traffic.flow_bandwidth_bps;
+    env.flow_bandwidth = state.arrivals.model().flow_bandwidth_bps;
     // The governor's adaptive bound replaces the static counter policy, and
     // its breakers gate member selection; every AC-router shares the one
     // governor, so control state is system-wide (unlike selector state).
@@ -174,11 +231,11 @@ core::AdmissionController& Simulation::controller_for(net::NodeId source) {
     if (governor_ != nullptr && governor_->options().adaptive_retrial) {
       retrial = std::make_unique<control::AdaptiveRetrialPolicy>(*governor_);
     } else {
-      retrial = std::make_unique<core::CounterRetrialPolicy>(config_.max_tries);
+      retrial = std::make_unique<core::CounterRetrialPolicy>(state.max_tries);
     }
     slot = std::make_unique<core::AdmissionController>(
-        source, group_, routes_, *rsvp_,
-        core::make_selector(config_.algorithm, env), std::move(retrial));
+        source, state.group, state.routes, *rsvp_,
+        core::make_selector(state.algorithm, env), std::move(retrial));
     slot->set_observer(admission_observer_);
     slot->set_tracer(config_.tracer);
     if (governor_ != nullptr && governor_->options().member_breakers) {
@@ -190,9 +247,11 @@ core::AdmissionController& Simulation::controller_for(net::NodeId source) {
 
 void Simulation::set_admission_observer(core::AdmissionObserver* observer) {
   admission_observer_ = observer;
-  for (auto& controller : controllers_) {
-    if (controller != nullptr) {
-      controller->set_observer(observer);
+  for (GroupState& state : groups_) {
+    for (auto& controller : state.controllers) {
+      if (controller != nullptr) {
+        controller->set_observer(observer);
+      }
     }
   }
 }
@@ -200,12 +259,18 @@ void Simulation::set_admission_observer(core::AdmissionObserver* observer) {
 std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>
 Simulation::active_selectors() const {
   std::vector<std::pair<net::NodeId, const core::DestinationSelector*>> selectors;
-  for (const auto& controller : controllers_) {
-    if (controller != nullptr) {
-      selectors.emplace_back(controller->source(), &controller->selector());
+  for (const GroupState& state : groups_) {
+    for (const auto& controller : state.controllers) {
+      if (controller != nullptr) {
+        selectors.emplace_back(controller->source(), &controller->selector());
+      }
     }
   }
   return selectors;
+}
+
+void Simulation::record_active_flows() {
+  primary().metrics.record_active_flows(simulator_.now(), flows_.size());
 }
 
 void Simulation::emit_trace(TraceEventKind kind, std::uint64_t flow, net::NodeId source,
@@ -267,45 +332,41 @@ void Simulation::wire_timeline() {
   obs::Timeline& tl = *timeline_;
   tl.add_gauge("active_flows", [this] { return static_cast<double>(flows_.size()); });
   tl.add_gauge("reserved_total_bps", [this] { return ledger_.total_reserved(); });
-  tl.add_counter("offered_per_s",
-                 [this] { return static_cast<double>(metrics_.lifetime_offered()); });
-  tl.add_counter("admitted_per_s",
-                 [this] { return static_cast<double>(metrics_.lifetime_admitted()); });
-  tl.add_counter("rejected_per_s",
-                 [this] { return static_cast<double>(metrics_.lifetime_rejected()); });
-  tl.add_counter("attempts_per_s",
-                 [this] { return static_cast<double>(metrics_.lifetime_attempts()); });
+  // Rate columns cover every group; the per-member columns below describe
+  // the primary group.
+  const auto add_total = [this, &tl](const char* name, auto tally) {
+    tl.add_counter(name, [this, tally] { return static_cast<double>(lifetime_total(tally)); });
+  };
+  add_total("offered_per_s", &MetricsCollector::lifetime_offered);
+  add_total("admitted_per_s", &MetricsCollector::lifetime_admitted);
+  add_total("rejected_per_s", &MetricsCollector::lifetime_rejected);
+  add_total("attempts_per_s", &MetricsCollector::lifetime_attempts);
   tl.add_counter("messages_per_s", [this] { return static_cast<double>(counter_.total()); });
   tl.add_counter("retransmits_per_s", [this] {
     return resilient_ != nullptr ? static_cast<double>(resilient_->stats().retransmits) : 0.0;
   });
-  tl.add_counter("teardowns_per_s", [this] {
-    return static_cast<double>(metrics_.lifetime_teardowns(TeardownCause::kExplicit));
+  add_total("teardowns_per_s", [](const MetricsCollector& m) {
+    return m.lifetime_teardowns(TeardownCause::kExplicit);
   });
-  tl.add_counter("drops_fault_per_s", [this] {
-    return static_cast<double>(metrics_.lifetime_teardowns(TeardownCause::kLinkFault));
+  add_total("drops_fault_per_s", [](const MetricsCollector& m) {
+    return m.lifetime_teardowns(TeardownCause::kLinkFault);
   });
-  tl.add_counter("drops_churn_per_s", [this] {
-    return static_cast<double>(metrics_.lifetime_teardowns(TeardownCause::kChurn));
+  add_total("drops_churn_per_s", [](const MetricsCollector& m) {
+    return m.lifetime_teardowns(TeardownCause::kChurn);
   });
-  tl.add_counter("failover_attempts_per_s", [this] {
-    return static_cast<double>(metrics_.lifetime_failover_attempts());
-  });
-  tl.add_counter("failover_admitted_per_s", [this] {
-    return static_cast<double>(metrics_.lifetime_failover_admitted());
-  });
+  add_total("failover_attempts_per_s", &MetricsCollector::lifetime_failover_attempts);
+  add_total("failover_admitted_per_s", &MetricsCollector::lifetime_failover_admitted);
   if (governor_ != nullptr) {
     tl.add_gauge("governor_effective_r", [this] {
       return static_cast<double>(governor_->effective_max_tries());
     });
     tl.add_gauge("governor_open_breakers",
                  [this] { return static_cast<double>(governor_->open_breakers()); });
-    tl.add_counter("shed_per_s",
-                   [this] { return static_cast<double>(metrics_.lifetime_shed()); });
+    add_total("shed_per_s", &MetricsCollector::lifetime_shed);
   }
   if (config_.kernel_stats != nullptr) {
     // Kernel telemetry columns ride only when the sink is attached, keeping
-    // plain runs' timeline artifacts byte-identical (DESIGN.md Â§15).
+    // plain runs' timeline artifacts byte-identical (DESIGN.md §15).
     tl.add_gauge("kernel_pending",
                  [this] { return static_cast<double>(simulator_.pending_events()); });
     tl.add_counter("kernel_events_per_s", [this] {
@@ -327,24 +388,26 @@ void Simulation::wire_timeline() {
       }
       return down;
     });
-    tl.add_counter("repairs_per_s",
-                   [this] { return static_cast<double>(metrics_.lifetime_repaired()); });
+    add_total("repairs_per_s", &MetricsCollector::lifetime_repaired);
   }
   const bool is_dac = !config_.use_gdi && !config_.use_centralized;
-  for (std::size_t index = 0; index < group_.size(); ++index) {
-    const std::string member = topology_->router_name(group_.member(index));
+  const core::AnycastGroup& group = primary().group;
+  for (std::size_t index = 0; index < group.size(); ++index) {
+    const std::string member = topology_->router_name(group.member(index));
     tl.add_gauge("member_up:" + member,
-                 [this, index] { return group_.is_up(index) ? 1.0 : 0.0; });
+                 [&group, index] { return group.is_up(index) ? 1.0 : 0.0; });
     if (is_dac) {
       // Paper-facing view of eqs. (2), (4)-(12): each AC-router keeps its own
       // weight vector, so the timeline records the mean weight of this member
-      // across every controller instantiated so far.
+      // across every primary-group controller instantiated so far.
       tl.add_gauge("weight:" + member, [this, index] {
         double sum = 0.0;
         std::size_t sources = 0;
-        for (const auto& [source, selector] : active_selectors()) {
-          (void)source;
-          const std::vector<double> weights = selector->weights();
+        for (const auto& controller : primary().controllers) {
+          if (controller == nullptr) {
+            continue;
+          }
+          const std::vector<double> weights = controller->selector().weights();
           if (index < weights.size()) {
             sum += weights[index];
             ++sources;
@@ -440,10 +503,10 @@ void Simulation::publish_ops() {
                  std::move(with_outcome))
         .increment(value);
   };
-  outcome_counter("offered", metrics_.lifetime_offered());
-  outcome_counter("admitted", metrics_.lifetime_admitted());
-  outcome_counter("rejected", metrics_.lifetime_rejected());
-  outcome_counter("shed", metrics_.lifetime_shed());
+  outcome_counter("offered", lifetime_total(&MetricsCollector::lifetime_offered));
+  outcome_counter("admitted", lifetime_total(&MetricsCollector::lifetime_admitted));
+  outcome_counter("rejected", lifetime_total(&MetricsCollector::lifetime_rejected));
+  outcome_counter("shed", lifetime_total(&MetricsCollector::lifetime_shed));
   using signaling::MessageKind;
   for (const MessageKind kind :
        {MessageKind::kPath, MessageKind::kResv, MessageKind::kPathErr, MessageKind::kTear,
@@ -482,11 +545,12 @@ void Simulation::publish_ops() {
                  "runtime control directives applied", labels)
         .increment(ops_directives_applied_);
   }
-  for (std::size_t index = 0; index < group_.size(); ++index) {
+  const core::AnycastGroup& group = primary().group;
+  for (std::size_t index = 0; index < group.size(); ++index) {
     obs::Labels with_member = labels;
-    with_member.push_back({"member", topology_->router_name(group_.member(index))});
+    with_member.push_back({"member", topology_->router_name(group.member(index))});
     registry.gauge("anyqos_member_up", "1 while the member is in service", with_member)
-        .set(group_.is_up(index) ? 1.0 : 0.0);
+        .set(group.is_up(index) ? 1.0 : 0.0);
   }
   for (net::LinkId id = 0; id < topology_->link_count(); ++id) {
     const net::Arc& arc = topology_->link(id);
@@ -540,32 +604,33 @@ void Simulation::publish_ops() {
   config_.ops_server->publish_health(now, simulator_.dispatched_events(), draining_);
 }
 
-void Simulation::schedule_next_arrival() {
-  simulator_.schedule_in(arrivals_.next_interarrival(), cat_arrival_,
-                         [this] { handle_arrival(); });
+void Simulation::schedule_next_arrival(std::uint32_t index) {
+  simulator_.schedule_in(groups_[index].arrivals.next_interarrival(), cat_arrival_,
+                         [this, index] { handle_arrival(index); });
 }
 
-void Simulation::handle_arrival() {
+void Simulation::handle_arrival(std::uint32_t index) {
   if (draining_) {
     return;  // quiescence drain: the offered-load process has stopped
   }
-  schedule_next_arrival();
+  schedule_next_arrival(index);
+  GroupState& state = groups_[index];
 
   core::FlowRequest request;
-  request.source = arrivals_.draw_source();
-  request.bandwidth_bps = config_.traffic.flow_bandwidth_bps;
+  request.source = state.arrivals.draw_source();
+  request.bandwidth_bps = state.arrivals.model().flow_bandwidth_bps;
   request.request_id = ++next_request_id_;
 
   if (governor_ != nullptr && !governor_->admit_request(simulator_.now())) {
     // Signaling budget exhausted: fast-reject with zero messages — the
     // request never reaches the DAC loop, so it is counted as shed, not as
     // offered load (the AC-router answered from local state alone).
-    metrics_.record_shed();
+    state.metrics.record_shed();
     emit_trace(TraceEventKind::kShed, request.request_id, request.source, net::kInvalidNode,
                0, request.bandwidth_bps);
     if (config_.tracer != nullptr && config_.tracer->active()) {
       config_.tracer->begin_request(request.request_id, request.source, request.bandwidth_bps,
-                                    "shed", 0, group_.size());
+                                    "shed", 0, state.group.size());
       config_.tracer->end_request(false, std::nullopt, 0);
     }
     return;
@@ -584,22 +649,22 @@ void Simulation::handle_arrival() {
     decision.route = central.route;
     decision.attempts = 1;  // the agency decides in one shot
     decision.messages = central.messages;
-    if (metrics_.measuring()) {
+    if (state.metrics.measuring()) {
       decision_delay_.add(central.decision_delay_s);
     }
   } else {
-    decision = controller_for(request.source).admit(request, selection_rng_);
+    decision = controller_for(state, request.source).admit(request, selection_rng_);
   }
   if (governor_ != nullptr) {
     governor_->on_decision(simulator_.now(), decision.admitted,
                            counter_.by_kind(signaling::MessageKind::kPath) - path_before);
   }
-  metrics_.record_decision(decision.admitted, decision.attempts, decision.messages,
-                           decision.destination_index.value_or(0));
+  state.metrics.record_decision(decision.admitted, decision.attempts, decision.messages,
+                                decision.destination_index.value_or(0));
   // Drain control-plane waiting unconditionally so warm-up waits never leak
   // into the first measured request's delay.
   const double control_wait = rsvp_->consume_pending_wait();
-  if (metrics_.measuring() && control_wait > 0.0) {
+  if (state.metrics.measuring() && control_wait > 0.0) {
     // The setup delay is whatever the resilient control plane spent waiting
     // on this request's walks (injected hop delay, retransmission timeouts,
     // backoff); the plain protocol signals instantly.
@@ -616,17 +681,18 @@ void Simulation::handle_arrival() {
   ActiveFlow flow;
   flow.request_id = request.request_id;
   flow.source = request.source;
+  flow.group = index;
   flow.destination_index = *decision.destination_index;
   flow.route = decision.route;
   flow.bandwidth_bps = request.bandwidth_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
   emit_trace(TraceEventKind::kAdmitted, request.request_id, request.source,
-             group_.member(*decision.destination_index), decision.attempts,
+             state.group.member(*decision.destination_index), decision.attempts,
              request.bandwidth_bps);
 
-  simulator_.schedule_in(arrivals_.draw_holding(), cat_departure_,
+  simulator_.schedule_in(state.arrivals.draw_holding(), cat_departure_,
                          [this, id] { handle_departure(id); });
 }
 
@@ -635,19 +701,21 @@ void Simulation::handle_departure(FlowId id) {
     if (repair_ != nullptr && repair_->contains(id)) {
       // The flow's holding time elapsed while it waited for repair: it
       // departs from the queue, releasing whatever remnant it still held.
+      // Path repair runs single-group, so the flow is the primary's.
       const signaling::BrokenFlow flow =
           repair_->resolve(id, signaling::PathRepair::Resolution::kExpired);
-      metrics_.record_teardown(TeardownCause::kExplicit);
+      primary().metrics.record_teardown(TeardownCause::kExplicit);
       if (!flow.remnant.links.empty()) {
         touch_links(flow.remnant);
       }
-      metrics_.record_active_flows(simulator_.now(), flows_.size());
+      record_active_flows();
       emit_trace(TraceEventKind::kDeparted, flow.request_id, flow.source,
-                 group_.member(flow.destination_index), 0, flow.bandwidth_bps);
+                 primary().group.member(flow.destination_index), 0, flow.bandwidth_bps);
     }
     return;  // the flow was torn down earlier by a link failure
   }
   const ActiveFlow flow = flows_.take(id);
+  GroupState& state = groups_[flow.group];
   if (config_.use_gdi) {
     ledger_.release(flow.route, flow.bandwidth_bps);
   } else {
@@ -655,11 +723,11 @@ void Simulation::handle_departure(FlowId id) {
     // lost, deferring the release to soft-state orphan reclamation.
     rsvp_->teardown(flow.route, flow.bandwidth_bps);
   }
-  metrics_.record_teardown(TeardownCause::kExplicit);
+  state.metrics.record_teardown(TeardownCause::kExplicit);
   touch_links(flow.route);
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
   emit_trace(TraceEventKind::kDeparted, flow.request_id, flow.source,
-             group_.member(flow.destination_index), 0, flow.bandwidth_bps);
+             state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
 }
 
 void Simulation::drop_flows_on_link(net::LinkId link) {
@@ -697,11 +765,12 @@ void Simulation::drop_flows_on_link(net::LinkId link) {
       rsvp_->force_teardown(flow.route, flow.bandwidth_bps);
     }
     touch_links(flow.route);
-    metrics_.record_dropped_flow();
+    GroupState& state = groups_[flow.group];
+    state.metrics.record_teardown(TeardownCause::kLinkFault);
     emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
-               group_.member(flow.destination_index), 0, flow.bandwidth_bps);
+               state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
   }
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
 }
 
 bool Simulation::take_duplex_down(net::LinkId forward) {
@@ -791,12 +860,14 @@ void Simulation::apply_node_down(const NodeFault& fault) {
   // but failover is deferred until after the incident links fail, so a
   // re-admission walks the (stale) routes against the true post-crash
   // network and fails realistically with PATH_ERR where they cross it.
+  // Node faults run single-group: every member and flow is the primary's.
+  GroupState& state = primary();
   std::vector<ActiveFlow> displaced;
-  for (std::size_t member = 0; member < group_.size(); ++member) {
-    if (group_.member(member) != fault.node || !group_.is_up(member)) {
+  for (std::size_t member = 0; member < state.group.size(); ++member) {
+    if (state.group.member(member) != fault.node || !state.group.is_up(member)) {
       continue;
     }
-    group_.set_member_up(member, false);
+    state.group.set_member_up(member, false);
     if (governor_ != nullptr) {
       // Trip the breaker with the crash: when the router recovers the member
       // stays masked until the cooldown's half-open probe proves it healthy.
@@ -807,9 +878,9 @@ void Simulation::apply_node_down(const NodeFault& fault) {
       ActiveFlow flow = flows_.take(id);
       rsvp_->teardown(flow.route, flow.bandwidth_bps);
       touch_links(flow.route);
-      metrics_.record_teardown(TeardownCause::kChurn);
+      state.metrics.record_teardown(TeardownCause::kChurn);
       emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
-                 group_.member(flow.destination_index), 0, flow.bandwidth_bps);
+                 state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
       if (config_.failover_readmit && !draining_) {
         displaced.push_back(std::move(flow));
       }
@@ -829,7 +900,7 @@ void Simulation::apply_node_down(const NodeFault& fault) {
     }
     attempt_failover(flow);
   }
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
   if (flight_ != nullptr) {
     // After the teardown/failover cascade: the snapshot carries every
     // victim's final events and any re-admission spans.
@@ -850,9 +921,10 @@ void Simulation::apply_node_up(const NodeFault& fault) {
       bring_duplex_up(id);
     }
   }
-  for (std::size_t member = 0; member < group_.size(); ++member) {
-    if (group_.member(member) == fault.node && !group_.is_up(member)) {
-      group_.set_member_up(member, true);
+  core::AnycastGroup& group = primary().group;
+  for (std::size_t member = 0; member < group.size(); ++member) {
+    if (group.member(member) == fault.node && !group.is_up(member)) {
+      group.set_member_up(member, true);
       emit_trace(TraceEventKind::kMemberUp, 0, fault.node, net::kInvalidNode, 0, 0.0);
     }
   }
@@ -877,7 +949,7 @@ void Simulation::note_topology_change() {
 }
 
 void Simulation::reconverge() {
-  routes_.recompute(*topology_, duplex_up_);
+  primary().routes.recompute(*topology_, duplex_up_);  // reconvergence runs single-group
   routes_stale_ = false;
   ++reconvergences_;
   emit_trace(TraceEventKind::kReconverged, 0, net::kInvalidNode, net::kInvalidNode, 0, 0.0);
@@ -887,6 +959,7 @@ void Simulation::reconverge() {
 }
 
 void Simulation::run_repair_pass() {
+  GroupState& state = primary();  // path repair runs single-group
   for (const FlowId id : repair_->pending_ids()) {
     const signaling::BrokenFlow& broken = repair_->broken(id);
     const std::size_t member = broken.destination_index;
@@ -898,10 +971,10 @@ void Simulation::run_repair_pass() {
     const std::uint64_t messages_before = counter_.total();
     if (config_.tracer != nullptr && config_.tracer->active()) {
       config_.tracer->begin_request(broken.request_id, broken.source, broken.bandwidth_bps,
-                                    "repair", 0, group_.size());
+                                    "repair", 0, state.group.size());
     }
-    if (group_.is_up(member) && routes_.has_route(broken.source, member)) {
-      route = routes_.route(broken.source, member);
+    if (state.group.is_up(member) && state.routes.has_route(broken.source, member)) {
+      route = state.routes.route(broken.source, member);
       admitted = rsvp_->reserve(route, broken.bandwidth_bps).admitted;
       (void)rsvp_->consume_pending_wait();  // repair waits stay out of setup delay
       if (!admitted && !broken.remnant.links.empty()) {
@@ -933,37 +1006,39 @@ void Simulation::run_repair_pass() {
       flow.admitted_at = done.admitted_at;
       flows_.restore(std::move(flow));  // keeps the armed departure timer valid
       touch_links(route);
-      metrics_.record_repair(true);
+      state.metrics.record_repair(true);
       emit_trace(TraceEventKind::kRepaired, done.request_id, done.source,
-                 group_.member(member), 0, done.bandwidth_bps);
+                 state.group.member(member), 0, done.bandwidth_bps);
     } else {
       const signaling::BrokenFlow done =
           repair_->resolve(id, signaling::PathRepair::Resolution::kUnrepairable);
       if (!done.remnant.links.empty()) {
         touch_links(done.remnant);
       }
-      metrics_.record_dropped_flow();
-      metrics_.record_repair(false);
+      state.metrics.record_teardown(TeardownCause::kLinkFault);
+      state.metrics.record_repair(false);
       emit_trace(TraceEventKind::kRepairFailed, done.request_id, done.source,
-                 group_.member(member), 0, done.bandwidth_bps);
+                 state.group.member(member), 0, done.bandwidth_bps);
     }
   }
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
 }
 
 void Simulation::apply_member_down(std::size_t member) {
-  if (!group_.is_up(member)) {
+  GroupState& state = primary();  // member churn runs single-group
+  if (!state.group.is_up(member)) {
     return;  // overlapping schedules: already down
   }
   // Exclude the member from selection *before* tearing flows down so any
   // failover re-admission can only land on the surviving members.
-  group_.set_member_up(member, false);
+  state.group.set_member_up(member, false);
   if (governor_ != nullptr) {
     // Trip the breaker with the outage: when the member recovers it stays
     // masked until the cooldown's half-open probe proves it healthy.
     governor_->on_member_churn(member);
   }
-  emit_trace(TraceEventKind::kMemberDown, 0, group_.member(member), net::kInvalidNode, 0, 0.0);
+  emit_trace(TraceEventKind::kMemberDown, 0, state.group.member(member), net::kInvalidNode, 0,
+             0.0);
   for (const FlowId id : flows_.flows_to_member(member)) {
     const ActiveFlow flow = flows_.take(id);
     // The route's links are all still in service — only the endpoint died —
@@ -971,40 +1046,42 @@ void Simulation::apply_member_down(std::size_t member) {
     // an orphan that soft-state expiry reclaims.
     rsvp_->teardown(flow.route, flow.bandwidth_bps);
     touch_links(flow.route);
-    metrics_.record_teardown(TeardownCause::kChurn);
+    state.metrics.record_teardown(TeardownCause::kChurn);
     emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
-               group_.member(flow.destination_index), 0, flow.bandwidth_bps);
+               state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
     if (config_.failover_readmit && !draining_) {
       attempt_failover(flow);
     }
   }
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
   if (flight_ != nullptr) {
     // After the teardown/failover loop: the snapshot includes every displaced
     // flow's drop (and any failover re-admission spans) as its final entries.
     std::string reason = "member_churn member=";
     reason += std::to_string(member);
     reason += " node=";
-    reason += std::to_string(group_.member(member));
+    reason += std::to_string(state.group.member(member));
     flight_->trigger(simulator_.now(), reason);
   }
 }
 
 void Simulation::apply_member_up(std::size_t member) {
-  if (group_.is_up(member)) {
+  core::AnycastGroup& group = primary().group;
+  if (group.is_up(member)) {
     return;
   }
-  if (node_hold_[group_.member(member)] > 0) {
+  if (node_hold_[group.member(member)] > 0) {
     return;  // the member's router is crashed; node recovery will revive it
   }
-  group_.set_member_up(member, true);
-  emit_trace(TraceEventKind::kMemberUp, 0, group_.member(member), net::kInvalidNode, 0, 0.0);
+  group.set_member_up(member, true);
+  emit_trace(TraceEventKind::kMemberUp, 0, group.member(member), net::kInvalidNode, 0, 0.0);
 }
 
 void Simulation::attempt_failover(const ActiveFlow& displaced) {
   // Re-offer the displaced flow through the normal admission procedure as a
   // fresh request: new id (it gets its own decision span), and — holding
   // times being exponential, hence memoryless — a fresh holding draw.
+  GroupState& state = groups_[displaced.group];
   core::FlowRequest request;
   request.source = displaced.source;
   request.bandwidth_bps = displaced.bandwidth_bps;
@@ -1015,12 +1092,12 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   const std::uint64_t path_before =
       governor_ != nullptr ? counter_.by_kind(signaling::MessageKind::kPath) : 0;
   const core::AdmissionDecision decision =
-      controller_for(request.source).admit(request, selection_rng_);
+      controller_for(state, request.source).admit(request, selection_rng_);
   if (governor_ != nullptr) {
     governor_->on_decision(simulator_.now(), decision.admitted,
                            counter_.by_kind(signaling::MessageKind::kPath) - path_before);
   }
-  metrics_.record_failover(decision.admitted);
+  state.metrics.record_failover(decision.admitted);
   // Failover is not offered load: its control-plane waiting stays out of the
   // per-request setup-delay statistics, but must still be drained.
   (void)rsvp_->consume_pending_wait();
@@ -1031,15 +1108,16 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   ActiveFlow flow;
   flow.request_id = request.request_id;
   flow.source = request.source;
+  flow.group = displaced.group;
   flow.destination_index = *decision.destination_index;
   flow.route = decision.route;
   flow.bandwidth_bps = request.bandwidth_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
   emit_trace(TraceEventKind::kFailover, request.request_id, request.source,
-             group_.member(*decision.destination_index), decision.attempts,
+             state.group.member(*decision.destination_index), decision.attempts,
              request.bandwidth_bps);
-  simulator_.schedule_in(arrivals_.draw_holding(), cat_departure_,
+  simulator_.schedule_in(state.arrivals.draw_holding(), cat_departure_,
                          [this, id] { handle_departure(id); });
 }
 
@@ -1092,7 +1170,9 @@ SimulationResult Simulation::run() {
     publish_ops();
   }
   // Seed the event calendar.
-  schedule_next_arrival();
+  for (std::uint32_t index = 0; index < groups_.size(); ++index) {
+    schedule_next_arrival(index);
+  }
   for (const LinkFault& fault : config_.faults) {
     simulator_.schedule_at(fault.fail_at, cat_link_fault_,
                            [this, fault] { apply_fault(fault); });
@@ -1125,13 +1205,15 @@ SimulationResult Simulation::run() {
     simulator_.run_until(config_.warmup_s);
   }
   counter_.reset();
-  metrics_.begin_measurement(simulator_.now());
+  for (GroupState& state : groups_) {
+    state.metrics.begin_measurement(simulator_.now());
+  }
   if (timeline_ != nullptr) {
     // After counter_.reset(): counter columns re-baseline here so the reset
     // cannot read as a negative per-window message rate.
     timeline_->mark_measurement_start(simulator_.now());
   }
-  metrics_.record_active_flows(simulator_.now(), flows_.size());
+  record_active_flows();
   for (net::LinkId id = 0; id < topology_->link_count(); ++id) {
     link_utilization_[id].restart(simulator_.now());
     link_utilization_[id].update(simulator_.now(), ledger_.utilization(id));
@@ -1186,31 +1268,32 @@ SimulationResult Simulation::run() {
   // the extension or the integrals would double-count the tail.
   const double horizon = std::max(end_time, simulator_.now());
 
+  const MetricsCollector& metrics = primary().metrics;
   SimulationResult result;
   result.system_label = system_label(config_);
-  result.admission_probability = metrics_.admission_probability();
-  result.admission_ci = metrics_.admission_ci(0.95);
-  result.average_attempts = metrics_.average_attempts();
-  result.attempts_histogram = metrics_.attempts_histogram();
-  result.average_messages = metrics_.average_messages();
-  result.offered = metrics_.offered();
-  result.admitted = metrics_.admitted();
-  result.dropped = metrics_.dropped_flows();
-  result.dropped_by_fault = metrics_.teardowns(TeardownCause::kLinkFault);
-  result.dropped_by_churn = metrics_.teardowns(TeardownCause::kChurn);
-  result.explicit_teardowns = metrics_.teardowns(TeardownCause::kExplicit);
-  result.failover_attempts = metrics_.failover_attempts();
-  result.failover_admitted = metrics_.failover_admitted();
-  result.shed = metrics_.shed();
-  result.repaired = metrics_.repaired();
-  result.unrepairable = metrics_.unrepairable();
+  result.admission_probability = metrics.admission_probability();
+  result.admission_ci = metrics.admission_ci(0.95);
+  result.average_attempts = metrics.average_attempts();
+  result.attempts_histogram = metrics.attempts_histogram();
+  result.average_messages = metrics.average_messages();
+  result.offered = metrics.offered();
+  result.admitted = metrics.admitted();
+  result.dropped = metrics.dropped_flows();
+  result.dropped_by_fault = metrics.teardowns(TeardownCause::kLinkFault);
+  result.dropped_by_churn = metrics.teardowns(TeardownCause::kChurn);
+  result.explicit_teardowns = metrics.teardowns(TeardownCause::kExplicit);
+  result.failover_attempts = metrics.failover_attempts();
+  result.failover_admitted = metrics.failover_admitted();
+  result.shed = metrics.shed();
+  result.repaired = metrics.repaired();
+  result.unrepairable = metrics.unrepairable();
   result.reconvergences = reconvergences_;
   result.node_outages = node_outages_;
   if (resilient_ != nullptr) {
     result.resilience = resilient_->stats();
   }
-  result.per_destination_admissions = metrics_.per_destination_admissions();
-  result.average_active_flows = metrics_.average_active_flows(horizon);
+  result.per_destination_admissions = metrics.per_destination_admissions();
+  result.average_active_flows = metrics.average_active_flows(horizon);
   result.messages = counter_;
   result.average_decision_delay_s = decision_delay_.mean();
   result.average_setup_delay_s = setup_delay_.mean();
@@ -1225,6 +1308,15 @@ SimulationResult Simulation::run() {
   }
   result.mean_link_utilization = utilization.mean();
   result.max_link_utilization = max_util;
+  for (const GroupState& state : groups_) {
+    GroupResult row;
+    row.address = state.group.address();
+    row.offered = state.metrics.offered();
+    row.admitted = state.metrics.admitted();
+    row.admission_probability = state.metrics.admission_probability();
+    row.average_attempts = state.metrics.average_attempts();
+    result.groups.push_back(std::move(row));
+  }
   return result;
 }
 

@@ -4,11 +4,19 @@
 // topology under one traffic model: Poisson request arrivals run through the
 // admission procedure; admitted flows hold bandwidth for an exponential
 // lifetime and then release it. Warm-up is discarded before measuring.
+//
+// A run may carry several anycast groups (multi-service extension): the
+// paper's one group is the run's "primary" group, and each extra group is
+// its own Poisson stream with its own members and <A, R> tuple. Groups
+// interact only through the shared link bandwidth of one ledger.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,12 +72,34 @@ struct NodeFault {
   double repair_at = 0.0;                ///< recovery; must exceed fail_at
 };
 
-/// Full description of one simulation run.
+/// One extra anycast group (SimulationConfig::extra_groups): a service with
+/// its own address, members, Poisson arrival stream and <A, R> tuple that
+/// shares the run's ledger, source set and mean holding time.
+struct GroupSpec {
+  std::string address;                           ///< display label
+  std::vector<net::NodeId> members;              ///< G(A)
+  double arrival_rate = 0.0;                     ///< requests/s
+  net::Bandwidth flow_bandwidth_bps = 64'000.0;  ///< per-flow demand
+  core::SelectionAlgorithm algorithm = core::SelectionAlgorithm::kEvenDistribution;
+  std::size_t max_tries = 2;                     ///< R
+  double alpha = 0.5;                            ///< WD/D+H history discount
+};
+
+/// Full description of one simulation run. The workload and system fields
+/// describe the run's primary group; `extra_groups` adds more.
 struct SimulationConfig {
   // --- Workload ---
   TrafficModel traffic;                      ///< arrivals, holding, bandwidth, sources
   std::vector<net::NodeId> group_members;    ///< the anycast group G(A)
   double anycast_share = 0.2;                ///< link fraction usable by anycast
+  /// Further anycast groups on the same ledger, source set and mean holding
+  /// time. Each draws its arrivals, sources and holding times from its own
+  /// named streams, so adding a group never shifts another group's arrival
+  /// sequence. Planes that index the members of one group — GDI, the
+  /// centralized baseline, member churn, the governor (and so ops steering),
+  /// node faults, reconvergence and path repair — reject extra groups; the
+  /// other planes cover every group.
+  std::vector<GroupSpec> extra_groups;
 
   // --- System under test (the paper's <A, R> tuple, or a baseline) ---
   bool use_gdi = false;                      ///< run the GDI oracle instead of DAC
@@ -237,7 +267,19 @@ struct DrainWatchdogReport {
   std::size_t drained_events = 0;  ///< events the drain dispatched (capped or not)
 };
 
-/// Aggregated outcome of a run (measurement window only).
+/// One anycast group's request tallies (measurement window).
+struct GroupResult {
+  std::string address;
+  std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;
+  double admission_probability = 0.0;
+  double average_attempts = 0.0;
+};
+
+/// Aggregated outcome of a run (measurement window only). With extra groups,
+/// the request, flow and per-member tallies (average_messages included)
+/// describe the primary group; `messages`, link utilization, active flows
+/// and setup delay cover the whole run.
 struct SimulationResult {
   std::string system_label;                  ///< e.g. "<ED,2>", "GDI"
   double admission_probability = 0.0;        ///< paper's AP metric
@@ -283,6 +325,8 @@ struct SimulationResult {
   /// percentile. Zero without the resilient plane.
   double average_setup_delay_s = 0.0;
   double p95_setup_delay_s = 0.0;
+  /// One row per group, primary first.
+  std::vector<GroupResult> groups;
 };
 
 /// Runs one configured system to completion.
@@ -300,16 +344,18 @@ class Simulation {
   /// Mutable ledger access for instrumentation (observer registration).
   /// Reserving or releasing bandwidth here yourself voids the results.
   [[nodiscard]] net::BandwidthLedger& ledger() { return ledger_; }
-  [[nodiscard]] const net::RouteTable& routes() const { return routes_; }
-  [[nodiscard]] const core::AnycastGroup& group() const { return group_; }
+  /// The primary group's route table and group.
+  [[nodiscard]] const net::RouteTable& routes() const { return groups_.front().routes; }
+  [[nodiscard]] const core::AnycastGroup& group() const { return groups_.front().group; }
 
-  /// Registers `observer` on every AC-router controller, existing and
-  /// lazily created later (nullptr detaches). DAC runs only — GDI and the
-  /// centralized baseline have no per-source controllers to observe.
+  /// Registers `observer` on every AC-router controller of every group,
+  /// existing and lazily created later (nullptr detaches). DAC runs only —
+  /// GDI and the centralized baseline have no per-source controllers.
   void set_admission_observer(core::AdmissionObserver* observer);
 
-  /// The per-source selectors instantiated so far (DAC runs only; lazily
-  /// created on first request from a source). For monitoring and auditing.
+  /// The per-source selectors instantiated so far, every group's (DAC runs
+  /// only; lazily created on first request from a source). For monitoring
+  /// and auditing.
   [[nodiscard]] std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>
   active_selectors() const;
 
@@ -359,8 +405,40 @@ class Simulation {
   [[nodiscard]] static std::string system_label(const SimulationConfig& config);
 
  private:
-  void schedule_next_arrival();
-  void handle_arrival();
+  /// One anycast group's run state: groups_[0] is the primary group (the
+  /// config's top-level fields), then config_.extra_groups in order.
+  struct GroupState {
+    GroupState(const net::Topology& topology, const GroupSpec& spec,
+               const TrafficModel& shared, const des::SeedSequence& seeds,
+               std::string_view stream_prefix);
+
+    core::AnycastGroup group;
+    net::RouteTable routes;
+    ArrivalProcess arrivals;  ///< this group's arrivals, sources and holding times
+    core::SelectionAlgorithm algorithm;
+    std::size_t max_tries;
+    double alpha;
+    /// One AC-router (controller) per source router, created on its first
+    /// request; each keeps its own selector state (DAC runs only).
+    std::vector<std::unique_ptr<core::AdmissionController>> controllers;
+    MetricsCollector metrics;
+  };
+
+  [[nodiscard]] GroupState& primary() { return groups_.front(); }
+  /// Sum of one lifetime tally over every group's collector.
+  template <typename Tally>
+  [[nodiscard]] std::uint64_t lifetime_total(Tally tally) const {
+    std::uint64_t total = 0;
+    for (const GroupState& state : groups_) {
+      total += std::invoke(tally, state.metrics);
+    }
+    return total;
+  }
+  /// Samples the run-wide active-flow count into the primary's collector,
+  /// which carries SimulationResult::average_active_flows.
+  void record_active_flows();
+  void schedule_next_arrival(std::uint32_t index);
+  void handle_arrival(std::uint32_t index);
   void handle_departure(FlowId id);
   void apply_fault(const LinkFault& fault);
   void repair_fault(const LinkFault& fault);
@@ -390,13 +468,11 @@ class Simulation {
   void ops_poll();
   void apply_ops_directive(const control::ControlDirective& directive);
   void publish_ops();
-  core::AdmissionController& controller_for(net::NodeId source);
+  core::AdmissionController& controller_for(GroupState& state, net::NodeId source);
 
   const net::Topology* topology_;
   SimulationConfig config_;
-  core::AnycastGroup group_;
   net::BandwidthLedger ledger_;
-  net::RouteTable routes_;
   signaling::MessageCounter counter_;
   /// The kernel owns this run's seed universe: every stream below derives
   /// from simulator_.seeds(), so the (simulator, model) pair is fully
@@ -408,9 +484,10 @@ class Simulation {
   std::unique_ptr<signaling::ReservationProtocol> rsvp_;
   signaling::ResilientReservationProtocol* resilient_ = nullptr;  // rsvp_ downcast or null
   signaling::ProbeService probe_;
-  ArrivalProcess arrivals_;
   des::RandomStream selection_rng_;
-  std::vector<std::unique_ptr<core::AdmissionController>> controllers_;  // by source index
+  /// Every group's state, filled completely in the constructor: controllers,
+  /// the GDI oracle and the central agency keep references into it.
+  std::vector<GroupState> groups_;
   core::AdmissionObserver* admission_observer_ = nullptr;
   std::unique_ptr<core::GlobalAdmissionOracle> oracle_;
   std::unique_ptr<core::CentralizedController> central_;
@@ -418,7 +495,6 @@ class Simulation {
   stats::Accumulator setup_delay_;
   stats::P2Quantile setup_delay_p95_{0.95};
   FlowTable flows_;
-  MetricsCollector metrics_;
   std::vector<stats::TimeWeighted> link_utilization_;
   // --- Failure-domain plane (empty/idle unless node faults, reconvergence,
   // or path repair are configured) ---

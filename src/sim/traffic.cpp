@@ -1,5 +1,8 @@
 #include "src/sim/traffic.h"
 
+#include <string>
+#include <utility>
+
 #include "src/util/require.h"
 
 namespace anyqos::sim {
@@ -11,11 +14,12 @@ void TrafficModel::validate() const {
   util::require(!sources.empty(), "traffic model needs at least one source");
 }
 
-ArrivalProcess::ArrivalProcess(const TrafficModel& model, const des::SeedSequence& seeds)
-    : model_(model),
-      arrivals_(seeds.stream("arrivals")),
-      sources_(seeds.stream("sources")),
-      holdings_(seeds.stream("holding")) {
+ArrivalProcess::ArrivalProcess(TrafficModel model, const des::SeedSequence& seeds,
+                               std::string_view stream_prefix)
+    : model_(std::move(model)),
+      arrivals_(seeds.stream(std::string(stream_prefix) + "arrivals")),
+      sources_(seeds.stream(std::string(stream_prefix) + "sources")),
+      holdings_(seeds.stream(std::string(stream_prefix) + "holding")) {
   model_.validate();
 }
 

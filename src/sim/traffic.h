@@ -7,6 +7,7 @@
 // every flow requires 64 kbit/s.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "src/des/random.h"
@@ -34,8 +35,10 @@ struct TrafficModel {
 class ArrivalProcess {
  public:
   /// Streams are derived from `seeds` under fixed names ("arrivals",
-  /// "sources", "holding").
-  ArrivalProcess(const TrafficModel& model, const des::SeedSequence& seeds);
+  /// "sources", "holding"), each preceded by `stream_prefix` so several
+  /// processes can share one seed universe without sharing draws.
+  ArrivalProcess(TrafficModel model, const des::SeedSequence& seeds,
+                 std::string_view stream_prefix = {});
 
   /// Time until the next request (exponential, rate lambda).
   double next_interarrival();

@@ -59,6 +59,16 @@ TEST(ChaosOracle, InvalidScenarioClassifiesAsInvalidNotException) {
   EXPECT_FALSE(outcome.ran);
 }
 
+TEST(ChaosOracle, BadRetrialBoundIsInvalidNotException) {
+  // R = 0 is the scenario's fault. It must be rejected before the run, not
+  // thrown from the first request's controller as if the model were broken.
+  sim::Scenario scenario = clean_scenario();
+  scenario.max_tries = 0;
+  const ChaosOracleOutcome outcome = run_chaos_oracle(scenario);
+  EXPECT_EQ(outcome.violation_class, "invalid:retrial bound R must be at least 1");
+  EXPECT_FALSE(outcome.ran);
+}
+
 TEST(ChaosOracle, PlantedBugClassifiesAsException) {
   // Overlapping outages of the same duplex link: harmless with the hold-count
   // guard, a double fail_link once the guard is defeated.

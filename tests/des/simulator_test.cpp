@@ -87,22 +87,6 @@ TEST(Simulator, CancelStopsPendingEvent) {
   EXPECT_FALSE(fired);
 }
 
-TEST(Simulator, StopHaltsDispatchingButKeepsQueue) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule_at(2.0, [&] { ++fired; });
-  sim.run_until(10.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  sim.run_until(10.0);  // resumes
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, DispatchedEventsAccumulate) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) {

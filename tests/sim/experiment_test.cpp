@@ -30,16 +30,6 @@ TEST(PaperModel, BaseConfigCarriesModelIntoSimulationConfig) {
   EXPECT_THROW(model.base_config(0.0), std::invalid_argument);
 }
 
-TEST(DefaultLambdaGrid, TenPointsFiveToFifty) {
-  const auto grid = default_lambda_grid();
-  ASSERT_EQ(grid.size(), 10u);
-  EXPECT_DOUBLE_EQ(grid.front(), 5.0);
-  EXPECT_DOUBLE_EQ(grid.back(), 50.0);
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(grid[i] - grid[i - 1], 5.0);
-  }
-}
-
 TEST(RunControlsHelper, AppliesAndValidates) {
   const ExperimentModel model = paper_model();
   SimulationConfig config = model.base_config(10.0);
@@ -53,36 +43,6 @@ TEST(RunControlsHelper, AppliesAndValidates) {
   EXPECT_EQ(config.seed, 99u);
   controls.measure_s = 0.0;
   EXPECT_THROW(apply_run_controls(config, controls), std::invalid_argument);
-}
-
-TEST(SweepLambda, RunsEveryPointWithConfigurator) {
-  ExperimentModel model = paper_model();
-  const std::vector<double> lambdas = {3.0, 6.0};
-  const auto points = sweep_lambda(model, lambdas, [](SimulationConfig& config) {
-    config.warmup_s = 50.0;
-    config.measure_s = 200.0;
-    config.max_tries = 1;
-  });
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[0].lambda, 3.0);
-  EXPECT_DOUBLE_EQ(points[1].lambda, 6.0);
-  for (const SweepPoint& point : points) {
-    EXPECT_GT(point.result.offered, 0u);
-    EXPECT_GT(point.result.admission_probability, 0.9);  // light loads
-  }
-  EXPECT_THROW(sweep_lambda(model, {}, nullptr), std::invalid_argument);
-}
-
-TEST(SweepLambda, NullConfiguratorUsesDefaults) {
-  ExperimentModel model = paper_model();
-  // Shrink the run through the model's base config is not possible without a
-  // configurator, so pass one that only shortens the run (the default
-  // algorithm settings stay).
-  const auto points = sweep_lambda(model, {2.0}, [](SimulationConfig& config) {
-    config.warmup_s = 10.0;
-    config.measure_s = 50.0;
-  });
-  EXPECT_EQ(points[0].result.system_label, "<ED,2>");
 }
 
 }  // namespace

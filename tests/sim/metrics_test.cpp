@@ -106,10 +106,10 @@ TEST(MetricsCollector, CiBeforeReadyIsDegenerate) {
 
 TEST(MetricsCollector, DroppedFlowsCounted) {
   MetricsCollector metrics(1);
-  metrics.record_dropped_flow();  // pre-measurement: ignored
+  metrics.record_teardown(TeardownCause::kLinkFault);  // pre-measurement: ignored
   metrics.begin_measurement(0.0);
-  metrics.record_dropped_flow();
-  metrics.record_dropped_flow();
+  metrics.record_teardown(TeardownCause::kLinkFault);
+  metrics.record_teardown(TeardownCause::kLinkFault);
   EXPECT_EQ(metrics.dropped_flows(), 2u);
 }
 

@@ -204,6 +204,18 @@ TEST(Simulation, ConfigValidation) {
   EXPECT_THROW(Simulation(topo, config), std::invalid_argument);
 }
 
+TEST(Simulation, SystemTupleCheckedAtConstruction) {
+  // Controllers are built lazily on a source's first request, so a bad <A, R>
+  // tuple must fail here rather than mid-run.
+  const net::Topology topo = net::topologies::ring(6);
+  SimulationConfig config = small_config(1.0);
+  config.max_tries = 0;
+  EXPECT_THROW(Simulation(topo, config), std::invalid_argument);
+  config = small_config(1.0);
+  config.alpha = 1.5;
+  EXPECT_THROW(Simulation(topo, config), std::invalid_argument);
+}
+
 TEST(Simulation, PerDestinationSplitRoughlyEvenForEdOnSymmetricRing) {
   const net::Topology topo = net::topologies::ring(6);
   SimulationConfig config = small_config(10.0);
