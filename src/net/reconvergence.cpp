@@ -1,8 +1,6 @@
 #include "src/net/reconvergence.h"
 
-#include <algorithm>
-
-#include "src/net/routing.h"
+#include "src/net/metrics.h"
 #include "src/util/require.h"
 
 namespace anyqos::net {
@@ -16,22 +14,7 @@ FloodingReconvergence::FloodingReconvergence(double per_round_s) : per_round_s_(
 }
 
 double FloodingReconvergence::delay_s(const Topology& topology) const {
-  if (cached_diameter_ == 0) {
-    cached_diameter_ = topology_diameter(topology);
-  }
-  return static_cast<double>(cached_diameter_ + 1) * per_round_s_;
-}
-
-std::size_t topology_diameter(const Topology& topology) {
-  std::size_t diameter = 0;
-  for (NodeId s = 0; s < topology.router_count(); ++s) {
-    for (const std::size_t d : hop_distances(topology, s)) {
-      if (d != kUnreachable) {
-        diameter = std::max(diameter, d);
-      }
-    }
-  }
-  return diameter;
+  return static_cast<double>(diameter(topology) + 1) * per_round_s_;
 }
 
 }  // namespace anyqos::net

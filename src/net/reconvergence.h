@@ -52,7 +52,8 @@ class FixedReconvergence final : public ReconvergencePolicy {
 /// O(diameter) delay derived from the link-state flooding model: an LSA
 /// reaches the farthest router in `diameter` synchronous flooding rounds
 /// (LinkStateProtocol::converge observes exactly this bound), plus one round
-/// for the local SPF recompute. delay = (diameter + 1) * per_round_s.
+/// for the local SPF recompute. delay = (diameter + 1) * per_round_s, with
+/// net::diameter of the (connected) topology passed in on each call.
 class FloodingReconvergence final : public ReconvergencePolicy {
  public:
   explicit FloodingReconvergence(double per_round_s);
@@ -61,10 +62,6 @@ class FloodingReconvergence final : public ReconvergencePolicy {
 
  private:
   double per_round_s_;
-  mutable std::size_t cached_diameter_ = 0;  // 0 = not computed yet
 };
-
-/// Hop-count diameter of the full (all links up) topology.
-std::size_t topology_diameter(const Topology& topology);
 
 }  // namespace anyqos::net

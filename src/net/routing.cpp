@@ -270,16 +270,21 @@ std::vector<Path> k_shortest_paths(const Topology& topology, NodeId source, Node
 RouteTable::RouteTable(const Topology& topology, std::vector<NodeId> destinations)
     : destinations_(std::move(destinations)), router_count_(topology.router_count()) {
   util::require(!destinations_.empty(), "route table needs at least one destination");
-  routes_.reserve(router_count_ * destinations_.size());
-  for (NodeId s = 0; s < router_count_; ++s) {
-    for (const NodeId d : destinations_) {
-      auto path = shortest_path(topology, s, d);
-      util::require(path.has_value(), "topology is disconnected: no route from " +
-                                          std::to_string(s) + " to " + std::to_string(d));
-      routes_.push_back(std::move(*path));
-    }
+  for (const NodeId d : destinations_) {
+    util::require(d < router_count_, "destination out of range");
   }
-  reachable_.assign(routes_.size(), 1);
+  // One BFS tree per router serves every member. shortest_path(s, d) builds
+  // the same tree for each d, so every route equals its per-pair result.
+  routes_.resize(router_count_ * destinations_.size());
+  reachable_.assign(routes_.size(), 0);
+  recompute(topology, std::vector<char>(topology.duplex_link_count(), 1));
+  const auto unreachable = std::find(reachable_.begin(), reachable_.end(), 0);
+  if (unreachable != reachable_.end()) {
+    const auto idx = static_cast<std::size_t>(unreachable - reachable_.begin());
+    util::require(false, "topology is disconnected: no route from " +
+                             std::to_string(idx / destinations_.size()) + " to " +
+                             std::to_string(destinations_[idx % destinations_.size()]));
+  }
 }
 
 void RouteTable::recompute(const Topology& topology, const std::vector<char>& duplex_up) {

@@ -52,11 +52,16 @@ std::vector<Path> k_shortest_paths(const Topology& topology, NodeId source, Node
                                    std::size_t k);
 
 /// Precomputed fixed routes from every node to a set of destinations,
-/// mirroring the paper's fixed source->member route assumption.
+/// mirroring the paper's fixed source->member route assumption. Building it
+/// for n routers and K destinations costs n BFS (one shortest-path tree per
+/// router) and n*K unwinds of a member's parent chain in that tree.
 class RouteTable {
  public:
-  /// Computes routes from all routers to each of `destinations`.
-  /// Throws std::invalid_argument if any pair is disconnected.
+  /// Computes routes from all routers to each of `destinations`: recompute()
+  /// with every link up, so each route equals shortest_path(source, member).
+  /// Throws std::invalid_argument if `destinations` is empty, names a node
+  /// that is not a router, or any pair is disconnected (the message names the
+  /// first such pair in (router, member) order).
   RouteTable(const Topology& topology, std::vector<NodeId> destinations);
 
   /// The fixed route from `source` to destinations()[index].
@@ -76,9 +81,9 @@ class RouteTable {
   /// says whether that duplex link is operational. Pairs the shrunk topology
   /// disconnects keep their previous (stale) path — so distance() stays
   /// defined for selectors — but has_route() turns false for them until a
-  /// later recompute reconnects the pair. Deterministic: same BFS tie-break
-  /// as the constructor, so recomputing with all links up reproduces the
-  /// initial table exactly.
+  /// later recompute reconnects the pair. Deterministic: the constructor is
+  /// this call with all links up, so recomputing with all links up
+  /// reproduces the initial table exactly.
   void recompute(const Topology& topology, const std::vector<char>& duplex_up);
 
   /// True when the last (re)computation found a live route for the pair.

@@ -148,6 +148,22 @@ bool axes_enabled(const FaultAxes& axes) {
   return axes.link_rate > 0.0 || axes.churn_rate > 0.0 || axes.node_rate > 0.0;
 }
 
+/// The `count` 'x'-separated unsigned fields after the colon of topology
+/// `spec`; throws std::invalid_argument naming the spec and its `form`.
+std::vector<std::size_t> spec_fields(const std::string& spec, std::size_t count,
+                                     std::string_view form) {
+  const auto parts = util::split(std::string_view(spec).substr(spec.find(':') + 1), 'x');
+  std::vector<std::size_t> fields;
+  for (const std::string& part : parts) {
+    if (const auto value = util::parse_unsigned(part)) {
+      fields.push_back(static_cast<std::size_t>(*value));
+    }
+  }
+  util::require(parts.size() == count && fields.size() == count,
+                "malformed topology spec '" + spec + "' (expected " + std::string(form) + ")");
+  return fields;
+}
+
 }  // namespace
 
 net::Topology build_scenario_topology(const std::string& spec) {
@@ -158,25 +174,21 @@ net::Topology build_scenario_topology(const std::string& spec) {
     return net::topologies::mci_backbone();
   }
   if (util::starts_with(spec, "line:")) {
-    return net::topologies::line(util::parse_unsigned(spec.substr(5)).value());
+    return net::topologies::line(spec_fields(spec, 1, "line:N")[0]);
   }
   if (util::starts_with(spec, "ring:")) {
-    return net::topologies::ring(util::parse_unsigned(spec.substr(5)).value());
+    return net::topologies::ring(spec_fields(spec, 1, "ring:N")[0]);
   }
   if (util::starts_with(spec, "star:")) {
-    return net::topologies::star(util::parse_unsigned(spec.substr(5)).value());
+    return net::topologies::star(spec_fields(spec, 1, "star:N")[0]);
   }
   if (util::starts_with(spec, "grid:")) {
-    const auto dims = util::split(spec.substr(5), 'x');
-    util::require(dims.size() == 2, "grid spec is grid:<rows>x<cols>");
-    return net::topologies::grid(util::parse_unsigned(dims[0]).value(),
-                                 util::parse_unsigned(dims[1]).value());
+    const auto dims = spec_fields(spec, 2, "grid:RxC");
+    return net::topologies::grid(dims[0], dims[1]);
   }
   if (util::starts_with(spec, "waxman:")) {
-    const auto parts = util::split(spec.substr(7), 'x');
-    util::require(parts.size() == 2, "waxman spec is waxman:<n>x<seed>");
-    return net::topologies::waxman(util::parse_unsigned(parts[0]).value(), 0.6, 0.5,
-                                   util::parse_unsigned(parts[1]).value());
+    const auto parts = spec_fields(spec, 2, "waxman:NxSEED");
+    return net::topologies::waxman(parts[0], 0.6, 0.5, parts[1]);
   }
   util::require(false, "unknown topology spec '" + spec +
                            "' (mci, line:N, ring:N, star:N, grid:RxC, waxman:NxSEED, file:PATH)");

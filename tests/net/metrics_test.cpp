@@ -32,6 +32,13 @@ TEST(GraphMetrics, StarHasDiameterTwo) {
   EXPECT_EQ(degrees(topo)[0], 9u);
 }
 
+TEST(GraphMetrics, DiameterMatchesKnownShapes) {
+  EXPECT_EQ(diameter(topologies::line(6)), 5u);
+  EXPECT_EQ(diameter(topologies::ring(6)), 3u);
+  EXPECT_EQ(diameter(topologies::star(5)), 2u);
+  EXPECT_EQ(diameter(topologies::grid(3, 3)), 4u);
+}
+
 TEST(GraphMetrics, MciBackboneShape) {
   const Topology topo = topologies::mci_backbone();
   // 33 duplex links over 19 routers: average degree ~3.47.

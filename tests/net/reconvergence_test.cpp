@@ -34,15 +34,12 @@ TEST(ReconvergencePolicy, FloodingScalesWithDiameter) {
   FloodingReconvergence ring_policy(0.1);
   const Topology ring8 = topologies::ring(8);  // diameter 4
   EXPECT_DOUBLE_EQ(ring_policy.delay_s(ring8), 0.5);
+  // One policy object prices each topology it is asked about, not the first.
+  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::line(9)), 0.9);  // diameter 8
+  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::star(4)), 0.3);  // diameter 2
+  EXPECT_DOUBLE_EQ(policy.delay_s(line5), 0.5);
   EXPECT_EQ(policy.name(), "flooding");
   EXPECT_THROW(FloodingReconvergence(0.0), std::invalid_argument);
-}
-
-TEST(TopologyDiameter, MatchesKnownShapes) {
-  EXPECT_EQ(topology_diameter(topologies::line(6)), 5u);
-  EXPECT_EQ(topology_diameter(topologies::ring(6)), 3u);
-  EXPECT_EQ(topology_diameter(topologies::star(5)), 2u);
-  EXPECT_EQ(topology_diameter(topologies::grid(3, 3)), 4u);
 }
 
 TEST(RouteTableRecompute, AllLinksUpReproducesTheInitialTable) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "src/des/random.h"
 #include "src/net/routing.h"
@@ -41,6 +42,24 @@ std::vector<std::vector<LinkId>> all_paths(const Topology& topo, NodeId s, NodeI
   visited[s] = 1;
   enumerate_paths(topo, s, d, prefix, visited, out);
   return out;
+}
+
+/// Every route of RouteTable(topo, members) is the pair's shortest_path():
+/// one BFS tree per router must reproduce the per-pair BFS tie-break.
+void expect_table_matches_shortest_paths(const Topology& topo,
+                                         const std::vector<NodeId>& members) {
+  const RouteTable table(topo, members);
+  for (NodeId s = 0; s < topo.router_count(); ++s) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const Path& route = table.route(s, i);
+      const auto expected = shortest_path(topo, s, members[i]);
+      ASSERT_TRUE(expected.has_value());
+      EXPECT_EQ(route.source, s);
+      EXPECT_EQ(route.destination, members[i]);
+      EXPECT_EQ(route.links, expected->links)
+          << topo.router_count() << " routers: " << s << "->" << members[i];
+    }
+  }
 }
 
 class RoutingBruteForce : public ::testing::TestWithParam<std::uint64_t> {
@@ -160,6 +179,27 @@ TEST_P(RoutingBruteForce, FeasiblePathAgreesWithEnumeration) {
       EXPECT_EQ(shortest_feasible_path(topo_, ledger, s, d, demand).has_value(), exists)
           << s << "->" << d;
     }
+  }
+}
+
+TEST_P(RoutingBruteForce, RouteTableMatchesPerPairShortestPath) {
+  // Every router a member, listed in reverse so index i != router id.
+  std::vector<NodeId> members;
+  for (auto d = static_cast<NodeId>(topo_.router_count()); d-- > 0;) {
+    members.push_back(d);
+  }
+  expect_table_matches_shortest_paths(topo_, members);
+}
+
+TEST(RouteTableOracle, MatchesPerPairShortestPathOnLargerTopologies) {
+  for (const Topology& topo : {topologies::mci_backbone(), topologies::grid(4, 5),
+                               topologies::waxman(200, 0.05, 0.1, 7)}) {
+    // Twelve distinct members in scrambled order, so index i != router id.
+    std::vector<NodeId> members;
+    for (std::size_t i = 0; i < 12; ++i) {
+      members.push_back(static_cast<NodeId>((i * 67 + 3) % topo.router_count()));
+    }
+    expect_table_matches_shortest_paths(topo, members);
   }
 }
 

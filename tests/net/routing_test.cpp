@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/net/topologies.h"
 
@@ -223,7 +224,18 @@ TEST(RouteTable, DisconnectedTopologyRejected) {
   Topology topo;
   topo.add_router();
   topo.add_router();
-  EXPECT_THROW(RouteTable(topo, {1}), std::invalid_argument);
+  try {
+    const RouteTable table(topo, {1});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("no route from 0 to 1"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(RouteTable, DestinationMustBeARouter) {
+  EXPECT_THROW(RouteTable(square(), {9}), std::invalid_argument);
+  EXPECT_THROW(RouteTable(square(), {}), std::invalid_argument);
 }
 
 TEST(RouteTable, OutOfRangeQueriesRejected) {

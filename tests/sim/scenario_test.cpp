@@ -185,6 +185,18 @@ TEST(Scenario, BuildsEveryTopologyFamily) {
   EXPECT_EQ(build_scenario_topology("grid:2x3").router_count(), 6U);
   EXPECT_THROW(build_scenario_topology("torus:4"), std::invalid_argument);
   EXPECT_THROW(build_scenario_topology("grid:4"), std::invalid_argument);
+  // A malformed number is a bad spec, not a bad_optional_access.
+  for (const char* spec : {"line:abc", "star:", "grid:3xq", "waxman:10x-1", "ring:5x5"}) {
+    EXPECT_THROW(build_scenario_topology(spec), std::invalid_argument) << spec;
+  }
+  try {
+    build_scenario_topology("grid:3xq");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("'grid:3xq'"), std::string::npos) << message;
+    EXPECT_NE(message.find("grid:RxC"), std::string::npos) << message;
+  }
 
   const std::string path = ::testing::TempDir() + "/anyqos_scenario_ring.topo";
   net::save_topology(build_scenario_topology("ring:7"), path);
