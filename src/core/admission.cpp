@@ -18,7 +18,8 @@ AdmissionController::AdmissionController(net::NodeId source, const AnycastGroup&
       routes_(&routes),
       rsvp_(&rsvp),
       selector_(std::move(selector)),
-      retrial_(std::move(retrial)) {
+      retrial_(std::move(retrial)),
+      tried_(std::make_unique<bool[]>(group.size())) {
   util::require(selector_ != nullptr, "admission controller needs a selector");
   util::require(retrial_ != nullptr, "admission controller needs a retrial policy");
   util::require(group.size() == routes.destination_count(),
@@ -46,7 +47,6 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
   // attributed to this decision — the paper's overhead comparison hinges on
   // WD/D+B's probe traffic being visible.
   const std::uint64_t messages_before = rsvp_->counter().total();
-  // std::vector<bool> is bit-packed and cannot view as span<const bool>.
   // Down members (churn extension) enter the loop pre-marked as tried: the
   // selector never picks them and its masking machinery redistributes their
   // weight over the live members, exactly as it does for retried ones. When
@@ -58,12 +58,12 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
   // last routing reconvergence left unreachable (node-failure extension):
   // the AC-router's table has no live route, so it never signals toward the
   // partition. has_route() is always true under the paper's static routes.
-  const auto tried = std::make_unique<bool[]>(group_->size());
+  bool* const tried = tried_.get();
   for (std::size_t i = 0; i < group_->size(); ++i) {
     tried[i] = !group_->is_up(i) || !routes_->has_route(source_, i) ||
                (gate_ != nullptr && !gate_->allow_member(i));
   }
-  const std::span<const bool> tried_view(tried.get(), group_->size());
+  const std::span<const bool> tried_view(tried, group_->size());
   // Figure 1: REPEAT { select; reserve; retry-control } UNTIL rejected.
   while (true) {
     const auto index = selector_->select(tried_view, rng);

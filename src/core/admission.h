@@ -126,6 +126,9 @@ class AdmissionController {
   signaling::ReservationProtocol* rsvp_;
   std::unique_ptr<DestinationSelector> selector_;
   std::unique_ptr<RetrialPolicy> retrial_;
+  // admit()'s per-request tried mask, one flag per member. std::vector<bool>
+  // is bit-packed and cannot view as span<const bool>.
+  std::unique_ptr<bool[]> tried_;
   AdmissionObserver* observer_ = nullptr;
   obs::DecisionTracer* tracer_ = nullptr;
   MemberGate* gate_ = nullptr;

@@ -9,26 +9,26 @@ namespace anyqos::core {
 
 namespace {
 
-/// Samples a member index from `weights` restricted to untried members.
-/// Returns nullopt when all members are tried.
-std::optional<std::size_t> sample_masked(const WeightVector& weights, std::span<const bool> tried,
+/// Samples a member index from `weights` restricted to untried members,
+/// masking into the caller's `masked` buffer. Returns nullopt when all
+/// members are tried.
+std::optional<std::size_t> sample_masked(std::span<const double> weights,
+                                         std::span<const bool> tried, std::span<double> masked,
                                          des::RandomStream& rng) {
   util::require(tried.size() == weights.size(), "tried mask must match group size");
   if (std::all_of(tried.begin(), tried.end(), [](bool t) { return t; })) {
     return std::nullopt;
   }
-  WeightVector masked = weights.masked(tried);
-  if (masked.is_zero()) {
+  if (!mask_weights(weights, tried, masked)) {
     // Every untried member has zero weight (e.g. WD/D+B with all-zero probed
     // bandwidth after masking). Fall back to uniform over untried members so
     // the retrial budget can still be spent.
-    std::vector<double> uniform(tried.size(), 0.0);
     for (std::size_t i = 0; i < tried.size(); ++i) {
-      uniform[i] = tried[i] ? 0.0 : 1.0;
+      masked[i] = tried[i] ? 0.0 : 1.0;
     }
-    masked = WeightVector::normalized(std::move(uniform));
+    normalize_weights(masked);
   }
-  return rng.weighted_index(masked.values());
+  return rng.weighted_index(masked);
 }
 
 std::vector<std::size_t> route_distances(net::NodeId source, const net::RouteTable& routes) {
@@ -45,11 +45,11 @@ std::vector<std::size_t> route_distances(net::NodeId source, const net::RouteTab
 // ---------------------------------------------------------------- ED
 
 EvenDistributionSelector::EvenDistributionSelector(std::size_t group_size)
-    : weights_(WeightVector::uniform(group_size)) {}
+    : weights_(WeightVector::uniform(group_size)), masked_(group_size) {}
 
 std::optional<std::size_t> EvenDistributionSelector::select(std::span<const bool> tried,
                                                             des::RandomStream& rng) {
-  return sample_masked(weights_, tried, rng);
+  return sample_masked(weights_.values(), tried, masked_, rng);
 }
 
 std::vector<double> EvenDistributionSelector::weights() const { return weights_.values(); }
@@ -58,25 +58,24 @@ std::vector<double> EvenDistributionSelector::weights() const { return weights_.
 
 DistanceHistorySelector::DistanceHistorySelector(net::NodeId source,
                                                  const net::RouteTable& routes, double alpha)
-    : alpha_(alpha),
-      weights_(WeightVector::inverse_distance(route_distances(source, routes))),
-      history_(routes.destination_count()) {
-  util::require(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
-}
+    : discount_(alpha),
+      weights_(WeightVector::inverse_distance(route_distances(source, routes)).values()),
+      masked_(weights_.size()),
+      history_(routes.destination_count()) {}
 
 std::optional<std::size_t> DistanceHistorySelector::select(std::span<const bool> tried,
                                                            des::RandomStream& rng) {
   // "Every time when a destination selection is about to be made, weights
   // are updated" — the update is persistent, not a per-request scratch copy.
-  weights_ = apply_history(weights_, history_, alpha_);
-  return sample_masked(weights_, tried, rng);
+  apply_history(weights_, history_, discount_);
+  return sample_masked(weights_, tried, masked_, rng);
 }
 
 void DistanceHistorySelector::report(std::size_t index, bool admitted) {
   history_.record(index, admitted);
 }
 
-std::vector<double> DistanceHistorySelector::weights() const { return weights_.values(); }
+std::vector<double> DistanceHistorySelector::weights() const { return weights_; }
 
 // ---------------------------------------------------------------- WD/D+B
 
@@ -90,32 +89,43 @@ DistanceBandwidthSelector::DistanceBandwidthSelector(net::NodeId source,
       probe_(&probe),
       mask_infeasible_(mask_infeasible),
       flow_bandwidth_(flow_bandwidth),
-      distances_(route_distances(source, routes)) {
+      distances_(route_distances(source, routes)),
+      drawn_(distances_.size()),
+      masked_(distances_.size()) {
   if (mask_infeasible_) {
     util::require(flow_bandwidth_ > 0.0, "infeasibility masking needs the flow bandwidth");
   }
 }
 
-WeightVector DistanceBandwidthSelector::current_weights() const {
-  std::vector<double> bandwidths;
-  bandwidths.reserve(distances_.size());
-  for (std::size_t i = 0; i < distances_.size(); ++i) {
-    double b = probe_->route_bandwidth(routes_->route(source_, i));
-    if (mask_infeasible_ && b < flow_bandwidth_) {
-      b = 0.0;
+void DistanceBandwidthSelector::bandwidths_to_weights(std::span<double> bandwidths) const {
+  if (mask_infeasible_) {
+    for (double& b : bandwidths) {
+      if (b < flow_bandwidth_) {
+        b = 0.0;
+      }
     }
-    bandwidths.push_back(b);
   }
-  return WeightVector::bandwidth_distance(bandwidths, distances_);
+  bandwidth_distance_weights(bandwidths, distances_);
 }
 
 std::optional<std::size_t> DistanceBandwidthSelector::select(std::span<const bool> tried,
                                                              des::RandomStream& rng) {
-  return sample_masked(current_weights(), tried, rng);
+  // Eq. (11): one PROBE / PROBE_REPLY exchange per member route, the
+  // signaling cost the paper charges WD/D+B for.
+  for (std::size_t i = 0; i < drawn_.size(); ++i) {
+    drawn_[i] = probe_->route_bandwidth(routes_->route(source_, i));
+  }
+  bandwidths_to_weights(drawn_);
+  return sample_masked(drawn_, tried, masked_, rng);
 }
 
 std::vector<double> DistanceBandwidthSelector::weights() const {
-  return current_weights().values();
+  std::vector<double> weights(distances_.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = probe_->peek_bandwidth(routes_->route(source_, i));
+  }
+  bandwidths_to_weights(weights);
+  return weights;
 }
 
 // ---------------------------------------------------------------- SP

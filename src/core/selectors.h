@@ -10,6 +10,10 @@
 
 namespace anyqos::core {
 
+// ED, WD/D+H and WD/D+B draw from their weight vector restricted to the
+// untried members. Each selector masks into a K-long buffer it owns, so a
+// warm select() allocates nothing.
+
 /// ED (eq. 2): every member equally likely. Uses no status information
 /// beyond the group size.
 class EvenDistributionSelector final : public DestinationSelector {
@@ -22,6 +26,7 @@ class EvenDistributionSelector final : public DestinationSelector {
 
  private:
   WeightVector weights_;
+  std::vector<double> masked_;  // per-selection scratch
 };
 
 /// WD/D+H (eqs. 4-10): inverse-distance base weights, persistently adjusted
@@ -36,16 +41,20 @@ class DistanceHistorySelector final : public DestinationSelector {
   [[nodiscard]] std::string name() const override { return "WD/D+H"; }
 
   [[nodiscard]] const AdmissionHistory& history() const { return history_; }
-  [[nodiscard]] double alpha() const { return alpha_; }
+  [[nodiscard]] double alpha() const { return discount_.alpha(); }
 
  private:
-  double alpha_;
-  WeightVector weights_;       // persistent, evolves with every selection
+  HistoryDiscount discount_;
+  std::vector<double> weights_;  // persistent, evolves with every selection
+  std::vector<double> masked_;   // per-selection scratch
   AdmissionHistory history_;
 };
 
 /// WD/D+B (eqs. 11-12): weights recomputed from live route bottleneck
 /// bandwidth (via the probe service) over route distance at every selection.
+/// Only select() probes; weights() reads the same bottlenecks from the
+/// ledger without charging a message, so observers leave the signaling
+/// tallies alone.
 class DistanceBandwidthSelector final : public DestinationSelector {
  public:
   DistanceBandwidthSelector(net::NodeId source, const net::RouteTable& routes,
@@ -57,7 +66,9 @@ class DistanceBandwidthSelector final : public DestinationSelector {
   [[nodiscard]] std::string name() const override { return "WD/D+B"; }
 
  private:
-  [[nodiscard]] WeightVector current_weights() const;
+  /// Turns route bandwidths B_i into eq. (12) weights in place, zeroing the
+  /// members infeasibility masking excludes first.
+  void bandwidths_to_weights(std::span<double> bandwidths) const;
 
   net::NodeId source_;
   const net::RouteTable* routes_;
@@ -65,6 +76,8 @@ class DistanceBandwidthSelector final : public DestinationSelector {
   bool mask_infeasible_;
   net::Bandwidth flow_bandwidth_;
   std::vector<std::size_t> distances_;
+  std::vector<double> drawn_;   // this selection's eq. (12) weights
+  std::vector<double> masked_;  // per-selection scratch
 };
 
 /// SP baseline: deterministically tries members in increasing fixed-route

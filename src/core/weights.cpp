@@ -7,9 +7,7 @@
 
 namespace anyqos::core {
 
-namespace {
-
-std::vector<double> normalize(std::vector<double> raw) {
+void normalize_weights(std::span<double> raw) {
   double total = 0.0;
   for (const double w : raw) {
     util::require(w >= 0.0 && std::isfinite(w), "weights must be finite and non-negative");
@@ -19,10 +17,57 @@ std::vector<double> normalize(std::vector<double> raw) {
   for (double& w : raw) {
     w /= total;
   }
-  return raw;
 }
 
-}  // namespace
+void inverse_distance_weights(std::span<const std::size_t> distances, std::span<double> out) {
+  util::require(!distances.empty(), "weight vector needs at least one member");
+  util::require(out.size() == distances.size(), "weights and distances must have equal length");
+  for (std::size_t i = 0; i < distances.size(); ++i) {
+    out[i] = 1.0 / static_cast<double>(std::max<std::size_t>(distances[i], 1));
+  }
+  normalize_weights(out);
+}
+
+void bandwidth_distance_weights(std::span<double> weights,
+                                std::span<const std::size_t> distances) {
+  util::require(weights.size() == distances.size(),
+                "bandwidths and distances must have equal length");
+  util::require(!weights.empty(), "weight vector needs at least one member");
+  double total = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    util::require(weights[i] >= 0.0 && std::isfinite(weights[i]),
+                  "route bandwidths must be finite and non-negative");
+    weights[i] /= static_cast<double>(std::max<std::size_t>(distances[i], 1));
+    total += weights[i];
+  }
+  if (total <= 0.0) {
+    inverse_distance_weights(distances, weights);
+    return;
+  }
+  normalize_weights(weights);
+}
+
+bool mask_weights(std::span<const double> weights, std::span<const bool> excluded,
+                  std::span<double> out) {
+  util::require(excluded.size() == weights.size(), "mask length must match weight count");
+  util::require(out.size() == weights.size(), "mask output must match weight count");
+  double total = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (excluded[i]) {
+      out[i] = 0.0;
+    } else {
+      out[i] = weights[i];
+      total += weights[i];
+    }
+  }
+  if (total <= 0.0) {
+    return false;  // every untried member has zero weight: out is all zero
+  }
+  for (double& w : out) {
+    w /= total;
+  }
+  return true;
+}
 
 WeightVector WeightVector::uniform(std::size_t k) {
   util::require(k >= 1, "weight vector needs at least one member");
@@ -30,67 +75,20 @@ WeightVector WeightVector::uniform(std::size_t k) {
 }
 
 WeightVector WeightVector::inverse_distance(std::span<const std::size_t> distances) {
-  util::require(!distances.empty(), "weight vector needs at least one member");
-  std::vector<double> raw;
-  raw.reserve(distances.size());
-  for (const std::size_t d : distances) {
-    raw.push_back(1.0 / static_cast<double>(std::max<std::size_t>(d, 1)));
-  }
-  return WeightVector(normalize(std::move(raw)));
-}
-
-WeightVector WeightVector::bandwidth_distance(std::span<const double> bandwidths,
-                                              std::span<const std::size_t> distances) {
-  util::require(bandwidths.size() == distances.size(),
-                "bandwidths and distances must have equal length");
-  util::require(!bandwidths.empty(), "weight vector needs at least one member");
-  std::vector<double> raw;
-  raw.reserve(bandwidths.size());
-  double total = 0.0;
-  for (std::size_t i = 0; i < bandwidths.size(); ++i) {
-    util::require(bandwidths[i] >= 0.0 && std::isfinite(bandwidths[i]),
-                  "route bandwidths must be finite and non-negative");
-    const double w = bandwidths[i] / static_cast<double>(std::max<std::size_t>(distances[i], 1));
-    raw.push_back(w);
-    total += w;
-  }
-  if (total <= 0.0) {
-    return inverse_distance(distances);
-  }
-  return WeightVector(normalize(std::move(raw)));
+  std::vector<double> weights(distances.size());
+  inverse_distance_weights(distances, weights);
+  return WeightVector(std::move(weights));
 }
 
 WeightVector WeightVector::normalized(std::vector<double> raw) {
   util::require(!raw.empty(), "weight vector needs at least one member");
-  return WeightVector(normalize(std::move(raw)));
+  normalize_weights(raw);
+  return WeightVector(std::move(raw));
 }
 
 double WeightVector::at(std::size_t i) const {
   util::require(i < weights_.size(), "weight index out of range");
   return weights_[i];
-}
-
-WeightVector WeightVector::masked(std::span<const bool> excluded) const {
-  util::require(excluded.size() == weights_.size(), "mask length must match weight count");
-  std::vector<double> raw(weights_.size(), 0.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    if (!excluded[i]) {
-      raw[i] = weights_[i];
-      total += weights_[i];
-    }
-  }
-  if (total <= 0.0) {
-    return WeightVector(std::move(raw));  // all-zero: caller checks is_zero()
-  }
-  for (double& w : raw) {
-    w /= total;
-  }
-  return WeightVector(std::move(raw));
-}
-
-bool WeightVector::is_zero() const {
-  return std::all_of(weights_.begin(), weights_.end(), [](double w) { return w == 0.0; });
 }
 
 bool WeightVector::normalized_within(double tolerance) const {

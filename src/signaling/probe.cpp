@@ -8,6 +8,10 @@ ProbeService::ProbeService(const net::BandwidthLedger& ledger, MessageCounter& c
 net::Bandwidth ProbeService::route_bandwidth(const net::Path& route) {
   counter_->count(MessageKind::kProbe, route.hops());
   counter_->count(MessageKind::kProbeReply, route.hops());
+  return peek_bandwidth(route);
+}
+
+net::Bandwidth ProbeService::peek_bandwidth(const net::Path& route) const {
   return ledger_->bottleneck(route);
 }
 

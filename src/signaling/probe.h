@@ -23,6 +23,11 @@ class ProbeService {
   /// Charges one PROBE per link downstream and one PROBE_REPLY per link back.
   [[nodiscard]] net::Bandwidth route_bandwidth(const net::Path& route);
 
+  /// The same bottleneck, read from the ledger without sending anything:
+  /// the view an observer (span snapshot, timeline gauge, auditor) takes,
+  /// which must not move the run's signaling tallies.
+  [[nodiscard]] net::Bandwidth peek_bandwidth(const net::Path& route) const;
+
  private:
   const net::BandwidthLedger* ledger_;
   MessageCounter* counter_;

@@ -1,11 +1,24 @@
 #include "src/sim/flow_table.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/util/annotations.h"
 #include "src/util/require.h"
 
 namespace anyqos::sim {
+
+namespace {
+
+// The message names the flow, so it is built only once a check has failed:
+// take() runs on every departure.
+[[noreturn]] void fail_with_id(const char* what, FlowId id) {
+  std::string message = what;  // append form: GCC 12 -Wrestrict, PR 105329
+  message += std::to_string(id);
+  util::fail_requirement(message);
+}
+
+}  // namespace
 
 FlowId FlowTable::insert(ActiveFlow flow) {
   const FlowId id = next_id_++;
@@ -16,15 +29,18 @@ FlowId FlowTable::insert(ActiveFlow flow) {
 
 void FlowTable::restore(ActiveFlow flow) {
   util::require(flow.id != 0 && flow.id < next_id_, "restore requires an id this table issued");
-  util::require(flows_.find(flow.id) == flows_.end(),
-                "flow is already active: " + std::to_string(flow.id));
+  if (flows_.find(flow.id) != flows_.end()) {
+    fail_with_id("flow is already active: ", flow.id);
+  }
   const FlowId id = flow.id;
   flows_.emplace(id, std::move(flow));
 }
 
 ActiveFlow FlowTable::take(FlowId id) {
   const auto it = flows_.find(id);
-  util::require(it != flows_.end(), "flow not active: " + std::to_string(id));
+  if (it == flows_.end()) {
+    fail_with_id("flow not active: ", id);
+  }
   ActiveFlow flow = std::move(it->second);
   flows_.erase(it);
   return flow;
@@ -34,7 +50,9 @@ bool FlowTable::contains(FlowId id) const { return flows_.find(id) != flows_.end
 
 const ActiveFlow& FlowTable::get(FlowId id) const {
   const auto it = flows_.find(id);
-  util::require(it != flows_.end(), "flow not active: " + std::to_string(id));
+  if (it == flows_.end()) {
+    fail_with_id("flow not active: ", id);
+  }
   return it->second;
 }
 

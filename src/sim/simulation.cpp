@@ -642,11 +642,11 @@ void Simulation::handle_arrival(std::uint32_t index) {
   if (config_.use_gdi) {
     decision = oracle_->admit(request);
   } else if (config_.use_centralized) {
-    const core::CentralizedDecision central =
+    core::CentralizedDecision central =
         central_->admit(simulator_.now(), request.source, request.bandwidth_bps);
     decision.admitted = central.admitted;
     decision.destination_index = central.destination_index;
-    decision.route = central.route;
+    decision.route = std::move(central.route);
     decision.attempts = 1;  // the agency decides in one shot
     decision.messages = central.messages;
     if (state.metrics.measuring()) {
@@ -683,7 +683,7 @@ void Simulation::handle_arrival(std::uint32_t index) {
   flow.source = request.source;
   flow.group = index;
   flow.destination_index = *decision.destination_index;
-  flow.route = decision.route;
+  flow.route = std::move(decision.route);
   flow.bandwidth_bps = request.bandwidth_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
@@ -1091,7 +1091,7 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   // its outcome still feeds the feedback window — it is real load.
   const std::uint64_t path_before =
       governor_ != nullptr ? counter_.by_kind(signaling::MessageKind::kPath) : 0;
-  const core::AdmissionDecision decision =
+  core::AdmissionDecision decision =
       controller_for(state, request.source).admit(request, selection_rng_);
   if (governor_ != nullptr) {
     governor_->on_decision(simulator_.now(), decision.admitted,
@@ -1110,7 +1110,7 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   flow.source = request.source;
   flow.group = displaced.group;
   flow.destination_index = *decision.destination_index;
-  flow.route = decision.route;
+  flow.route = std::move(decision.route);
   flow.bandwidth_bps = request.bandwidth_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));

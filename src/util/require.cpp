@@ -2,17 +2,11 @@
 
 namespace anyqos::util {
 
-void require(bool condition, std::string_view message) {
-  if (!condition) {
-    throw std::invalid_argument(std::string(message));
-  }
+void fail_requirement(std::string_view message) {
+  throw std::invalid_argument(std::string(message));
 }
 
-void ensure(bool condition, std::string_view message) {
-  if (!condition) {
-    throw InvariantError(std::string(message));
-  }
-}
+void fail_invariant(std::string_view message) { throw InvariantError(std::string(message)); }
 
 void unreachable(std::string_view message) {
   throw InvariantError("unreachable: " + std::string(message));

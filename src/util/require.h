@@ -4,6 +4,10 @@
 // public API is reported loudly instead of corrupting simulation state.
 // `require` is for caller-supplied preconditions (throws std::invalid_argument),
 // `ensure` is for internal invariants (throws std::logic_error).
+//
+// The condition test is inline and the throw is out of line, so a passing
+// check costs a compare and a predicted branch, not a call. Checks stay in
+// every build type.
 #pragma once
 
 #include <stdexcept>
@@ -19,13 +23,29 @@ class InvariantError : public std::logic_error {
   explicit InvariantError(const std::string& what) : std::logic_error(what) {}
 };
 
+/// Throws std::invalid_argument with `message`: the failing half of
+/// require(), for call sites that build their message only after the check
+/// has failed.
+[[noreturn]] void fail_requirement(std::string_view message);
+
+/// Throws InvariantError with `message`: the failing half of ensure().
+[[noreturn]] void fail_invariant(std::string_view message);
+
 /// Throws std::invalid_argument with `message` when `condition` is false.
 /// Use for validating caller-supplied arguments at public API boundaries.
-void require(bool condition, std::string_view message);
+inline void require(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] {
+    fail_requirement(message);
+  }
+}
 
 /// Throws InvariantError with `message` when `condition` is false.
 /// Use for internal consistency checks.
-void ensure(bool condition, std::string_view message);
+inline void ensure(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] {
+    fail_invariant(message);
+  }
+}
 
 /// Unconditionally reports an unreachable code path.
 [[noreturn]] void unreachable(std::string_view message);

@@ -3,11 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "src/core/weights.h"
 
 namespace anyqos::core {
 namespace {
 
 constexpr double kTol = 1e-12;
+
+// Runs the in-place update on a copy of `w` and returns the result.
+std::vector<double> apply(const WeightVector& w, const AdmissionHistory& h, double alpha) {
+  std::vector<double> updated = w.values();
+  HistoryDiscount discount(alpha);
+  apply_history(updated, h, discount);
+  return updated;
+}
+
+bool sums_to_one(const std::vector<double>& weights, double tolerance) {
+  double total = 0.0;
+  for (const double w : weights) {
+    if (w < 0.0) {
+      return false;
+    }
+    total += w;
+  }
+  return std::abs(total - 1.0) <= tolerance;
+}
 
 TEST(AdmissionHistory, InitializesToZeroPerEq6) {
   const AdmissionHistory h(4);
@@ -52,9 +74,9 @@ TEST(AdmissionHistory, BoundsChecked) {
 TEST(ApplyHistory, CleanHistoryLeavesWeightsUnchanged) {
   const WeightVector w = WeightVector::normalized({0.5, 0.3, 0.2});
   const AdmissionHistory h(3);
-  const WeightVector updated = apply_history(w, h, 0.5);
+  const std::vector<double> updated = apply(w, h, 0.5);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(updated.at(i), w.at(i), kTol);
+    EXPECT_NEAR(updated[i], w.at(i), kTol);
   }
 }
 
@@ -64,9 +86,9 @@ TEST(ApplyHistory, AlphaOneDisablesHistoryImpact) {
   AdmissionHistory h(3);
   h.record(0, false);
   h.record(0, false);
-  const WeightVector updated = apply_history(w, h, 1.0);
+  const std::vector<double> updated = apply(w, h, 1.0);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(updated.at(i), w.at(i), kTol);
+    EXPECT_NEAR(updated[i], w.at(i), kTol);
   }
 }
 
@@ -75,12 +97,12 @@ TEST(ApplyHistory, AlphaZeroMaximallyPunishes) {
   const WeightVector w = WeightVector::normalized({0.5, 0.3, 0.2});
   AdmissionHistory h(3);
   h.record(0, false);
-  const WeightVector updated = apply_history(w, h, 0.0);
-  EXPECT_NEAR(updated.at(0), 0.0, kTol);
+  const std::vector<double> updated = apply(w, h, 0.0);
+  EXPECT_NEAR(updated[0], 0.0, kTol);
   // The failing member's mass moved to the clean ones, renormalized.
-  EXPECT_TRUE(updated.normalized_within(kTol));
-  EXPECT_GT(updated.at(1), w.at(1));
-  EXPECT_GT(updated.at(2), w.at(2));
+  EXPECT_TRUE(sums_to_one(updated, kTol));
+  EXPECT_GT(updated[1], w.at(1));
+  EXPECT_GT(updated[2], w.at(2));
 }
 
 TEST(ApplyHistory, MatchesEquations8To10ByHand) {
@@ -93,10 +115,10 @@ TEST(ApplyHistory, MatchesEquations8To10ByHand) {
   h.record(0, false);
   h.record(2, false);
   h.record(2, false);
-  const WeightVector updated = apply_history(w, h, 0.5);
-  EXPECT_NEAR(updated.at(0), 0.25, kTol);
-  EXPECT_NEAR(updated.at(1), 0.70, kTol);
-  EXPECT_NEAR(updated.at(2), 0.05, kTol);
+  const std::vector<double> updated = apply(w, h, 0.5);
+  EXPECT_NEAR(updated[0], 0.25, kTol);
+  EXPECT_NEAR(updated[1], 0.70, kTol);
+  EXPECT_NEAR(updated[2], 0.05, kTol);
 }
 
 TEST(ApplyHistory, AllFailingRenormalizesByDiscount) {
@@ -107,10 +129,10 @@ TEST(ApplyHistory, AllFailingRenormalizesByDiscount) {
   h.record(0, false);                   // h_0 = 1
   h.record(1, false);
   h.record(1, false);                   // h_1 = 2
-  const WeightVector updated = apply_history(w, h, 0.5);
+  const std::vector<double> updated = apply(w, h, 0.5);
   // raw: 0.25, 0.125 -> normalized 2/3, 1/3.
-  EXPECT_NEAR(updated.at(0), 2.0 / 3.0, kTol);
-  EXPECT_NEAR(updated.at(1), 1.0 / 3.0, kTol);
+  EXPECT_NEAR(updated[0], 2.0 / 3.0, kTol);
+  EXPECT_NEAR(updated[1], 1.0 / 3.0, kTol);
 }
 
 TEST(ApplyHistory, AlphaZeroAllFailingKeepsPriorWeights) {
@@ -119,18 +141,28 @@ TEST(ApplyHistory, AlphaZeroAllFailingKeepsPriorWeights) {
   AdmissionHistory h(2);
   h.record(0, false);
   h.record(1, false);
-  const WeightVector updated = apply_history(w, h, 0.0);
-  EXPECT_NEAR(updated.at(0), 0.7, kTol);
-  EXPECT_NEAR(updated.at(1), 0.3, kTol);
+  const std::vector<double> updated = apply(w, h, 0.0);
+  EXPECT_EQ(updated, w.values());  // untouched, bit for bit
 }
 
 TEST(ApplyHistory, ParameterValidation) {
-  const WeightVector w = WeightVector::uniform(2);
-  const AdmissionHistory h(2);
-  EXPECT_THROW(apply_history(w, h, -0.1), std::invalid_argument);
-  EXPECT_THROW(apply_history(w, h, 1.1), std::invalid_argument);
+  EXPECT_THROW(HistoryDiscount(-0.1), std::invalid_argument);
+  EXPECT_THROW(HistoryDiscount(1.1), std::invalid_argument);
+  std::vector<double> w = WeightVector::uniform(2).values();
   const AdmissionHistory wrong_size(3);
-  EXPECT_THROW(apply_history(w, wrong_size, 0.5), std::invalid_argument);
+  HistoryDiscount discount(0.5);
+  EXPECT_THROW(apply_history(w, wrong_size, discount), std::invalid_argument);
+}
+
+TEST(HistoryDiscount, EqualsStdPowInsideAndBeyondItsTable) {
+  for (const double alpha : {0.0, 0.3, 0.5, 0.9, 1.0}) {
+    HistoryDiscount discount(alpha);
+    EXPECT_EQ(discount(0), 1.0);
+    // Out of order, so a late small h reads an entry an early large h filled.
+    for (const std::size_t h : {5u, 1u, 31u, 32u, 200u, 3u, 33u, 0u, 17u}) {
+      EXPECT_EQ(discount(h), std::pow(alpha, static_cast<double>(h))) << alpha << "^" << h;
+    }
+  }
 }
 
 // --- Property sweep over alpha: normalization and monotone punishment. ---
@@ -144,17 +176,17 @@ TEST_P(HistoryAlphaProperty, UpdateKeepsNormalizationAndPunishesFailures) {
   h.record(1, false);
   h.record(3, false);
   h.record(3, false);
-  const WeightVector updated = apply_history(w, h, alpha);
-  EXPECT_TRUE(updated.normalized_within(1e-9));
+  const std::vector<double> updated = apply(w, h, alpha);
+  EXPECT_TRUE(sums_to_one(updated, 1e-9));
   if (alpha < 1.0) {
     // Failing members lose weight; clean members gain (or keep) weight.
-    EXPECT_LT(updated.at(1), w.at(1) + kTol);
-    EXPECT_LT(updated.at(3), w.at(3) + kTol);
-    EXPECT_GE(updated.at(0), w.at(0) - kTol);
-    EXPECT_GE(updated.at(2), w.at(2) - kTol);
+    EXPECT_LT(updated[1], w.at(1) + kTol);
+    EXPECT_LT(updated[3], w.at(3) + kTol);
+    EXPECT_GE(updated[0], w.at(0) - kTol);
+    EXPECT_GE(updated[2], w.at(2) - kTol);
     // The member with more consecutive failures is punished at least as hard
     // (relative to its base weight).
-    EXPECT_LE(updated.at(3) / w.at(3), updated.at(1) / w.at(1) + kTol);
+    EXPECT_LE(updated[3] / w.at(3), updated[1] / w.at(1) + kTol);
   }
 }
 

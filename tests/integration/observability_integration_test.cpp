@@ -8,11 +8,13 @@
 #include <sstream>
 #include <utility>
 
+#include "src/audit/auditor.h"
 #include "src/net/topologies.h"
 #include "src/obs/kernel_stats.h"
 #include "src/obs/profiler.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
+#include "src/obs/timeline.h"
 #include "src/sim/faults.h"
 #include "src/sim/metrics_export.h"
 #include "src/sim/simulation.h"
@@ -139,6 +141,49 @@ TEST(ObservabilityIntegration, SpansReconcileExactlyWithMetrics) {
   std::ostringstream prom;
   registry.write_prometheus(prom);
   EXPECT_NE(prom.str().find("anyqos_attempts_per_request_count"), std::string::npos);
+}
+
+TEST(ObservabilityIntegration, AttachedPlanesChargeNoMessages) {
+  // Decision spans snapshot the weights of every attempt, the timeline
+  // samples a weight gauge per member, and the auditor checkpoints the
+  // weight norm: all three read selector weights. For WD/D+B that read must
+  // not send probes, or attaching a plane moves the signaling tallies.
+  const net::Topology topo = net::topologies::mci_backbone();
+  for (const auto algorithm :
+       {core::SelectionAlgorithm::kEvenDistribution, core::SelectionAlgorithm::kDistanceHistory,
+        core::SelectionAlgorithm::kDistanceBandwidth, core::SelectionAlgorithm::kShortestPath}) {
+    sim::SimulationConfig bare = small_mci_config();
+    bare.algorithm = algorithm;
+    bare.measure_s = 300.0;
+    sim::SimulationConfig observed = bare;
+    obs::MemorySpanSink spans;
+    obs::DecisionTracer tracer;
+    tracer.set_sink(&spans);
+    observed.tracer = &tracer;
+    obs::Timeline timeline(obs::TimelineOptions{50.0});
+    observed.timeline = &timeline;
+
+    sim::Simulation plain(topo, bare);
+    const sim::SimulationResult a = plain.run();
+    sim::Simulation watched(topo, observed);
+    audit::InvariantAuditor auditor;
+    auditor.attach(watched);
+    const sim::SimulationResult b = watched.run();
+
+    const std::string label = core::to_string(algorithm);
+    ASSERT_GT(a.offered, 100u) << label;
+    ASSERT_FALSE(spans.decisions().empty()) << label;
+    ASSERT_FALSE(timeline.samples().empty()) << label;
+    EXPECT_TRUE(auditor.log().empty()) << label << "\n" << auditor.log().to_text();
+    EXPECT_EQ(a.offered, b.offered) << label;
+    EXPECT_EQ(a.admitted, b.admitted) << label;
+    for (std::size_t kind = 0; kind < signaling::kMessageKindCount; ++kind) {
+      const auto message_kind = static_cast<signaling::MessageKind>(kind);
+      EXPECT_EQ(a.messages.by_kind(message_kind), b.messages.by_kind(message_kind))
+          << label << " " << signaling::to_string(message_kind);
+    }
+    EXPECT_EQ(a.average_messages, b.average_messages) << label;
+  }
 }
 
 TEST(ObservabilityIntegration, SpanIntegritySurvivesFaultInducedDrops) {
