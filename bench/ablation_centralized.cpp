@@ -27,31 +27,17 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"lambda", "AP <WD/D+B,2>", "AP CTRL", "AP GDI",
                             "msgs/req WD/D+B", "msgs/req CTRL"});
   for (const double lambda : lambdas) {
-    std::vector<double> row = {lambda};
-    sim::SimulationResult wdb;
-    sim::SimulationResult ctrl;
-    sim::SimulationResult gdi;
-    {
-      sim::SimulationConfig config = model.base_config(lambda);
-      sim::apply_run_controls(config, controls);
-      config.algorithm = core::SelectionAlgorithm::kDistanceBandwidth;
-      config.max_tries = 2;
-      wdb = sim::Simulation(model.topology, config).run();
-    }
-    {
-      sim::SimulationConfig config = model.base_config(lambda);
-      sim::apply_run_controls(config, controls);
-      config.use_centralized = true;
-      config.controller_node = node;
-      config.controller_rate = rate;
-      ctrl = sim::Simulation(model.topology, config).run();
-    }
-    {
-      sim::SimulationConfig config = model.base_config(lambda);
-      sim::apply_run_controls(config, controls);
-      config.use_gdi = true;
-      gdi = sim::Simulation(model.topology, config).run();
-    }
+    const sim::SimulationResult wdb =
+        bench::run_system(model, lambda, controls, [](sim::SimulationConfig& config) {
+          config.algorithm = core::SelectionAlgorithm::kDistanceBandwidth;
+          config.max_tries = 2;
+        });
+    const sim::SimulationResult ctrl =
+        bench::run_system(model, lambda, controls, [&](sim::SimulationConfig& config) {
+          config.policy = sim::centralized_policy(node, rate);
+        });
+    const sim::SimulationResult gdi = bench::run_system(
+        model, lambda, controls, [](sim::SimulationConfig& config) { config.use_gdi = true; });
     table.add_numeric_row({lambda, wdb.admission_probability, ctrl.admission_probability,
                            gdi.admission_probability, wdb.average_messages,
                            ctrl.average_messages},

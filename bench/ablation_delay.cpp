@@ -5,97 +5,47 @@
 // larger reservations — especially toward distant members — so acceptance
 // falls and traffic gravitates to near mirrors. The bench reports AP, the
 // mean reserved rate per admitted flow, and the near-member share.
-#include <functional>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/core/delay_admission.h"
+#include "src/sim/trace.h"
 
 namespace {
 
 using namespace anyqos;
 
-struct Outcome {
-  double ap = 0.0;
-  double mean_reserved_kbps = 0.0;
-  double near_member_share = 0.0;  // fraction pinned to each source's closest member
-};
-
-Outcome run(const sim::ExperimentModel& model, double lambda, double deadline_s,
-            const sim::RunControls& controls) {
-  const core::AnycastGroup group("g", model.group_members);
-  const net::RouteTable routes(model.topology, model.group_members);
-  net::BandwidthLedger ledger(model.topology, model.anycast_share);
-  signaling::MessageCounter counter;
-  signaling::ReservationProtocol rsvp(ledger, counter);
+/// One deadline's table row: AP, the mean reserved rate per admitted flow,
+/// and the share of flows pinned to their source's nearest member.
+std::vector<std::string> run(const sim::ExperimentModel& model, double lambda,
+                             double deadline_ms, const sim::RunControls& controls) {
   core::SchedulerModel scheduler;
   scheduler.max_packet_bits = 1500.0 * 8.0;
   scheduler.per_hop_latency_s = 0.004;
+  sim::SimulationConfig config = model.base_config(lambda);
+  sim::apply_run_controls(config, controls);
+  config.policy = sim::delay_policy(scheduler, deadline_ms / 1000.0, 2);
+  sim::MemoryTraceSink trace;
+  config.trace = &trace;
+  sim::Simulation simulation(model.topology, config);
+  const double ap = simulation.run().admission_probability;
 
-  des::SeedSequence seeds(controls.seed);
-  des::Simulator simulator;
-  sim::TrafficModel traffic;
-  traffic.arrival_rate = lambda;
-  traffic.mean_holding_s = model.mean_holding_s;
-  traffic.flow_bandwidth_bps = model.flow_bandwidth_bps;
-  traffic.sources = model.sources;
-  sim::ArrivalProcess arrivals(traffic, seeds);
-  des::RandomStream selection = seeds.stream("selection");
-
-  std::vector<std::unique_ptr<core::DelayAdmissionController>> acs(
-      model.topology.router_count());
-  const auto ac_for = [&](net::NodeId s) -> core::DelayAdmissionController& {
-    if (acs[s] == nullptr) {
-      acs[s] = std::make_unique<core::DelayAdmissionController>(
-          s, group, routes, rsvp, scheduler,
-          std::make_unique<core::CounterRetrialPolicy>(2));
-    }
-    return *acs[s];
-  };
-
-  std::uint64_t offered = 0;
+  // Admission rows carry the member-specific rate each flow reserved.
   std::uint64_t admitted = 0;
   std::uint64_t near_hits = 0;
   double reserved_total = 0.0;
-  bool measuring = false;
-  std::function<void()> arrival = [&] {
-    simulator.schedule_in(arrivals.next_interarrival(), arrival);
-    core::DelayFlowRequest request;
-    request.source = arrivals.draw_source();
-    request.qos.min_bandwidth_bps = model.flow_bandwidth_bps;
-    request.qos.max_delay_s = deadline_s;
-    const core::DelayAdmissionDecision decision =
-        ac_for(request.source).admit(request, selection);
-    if (measuring) {
-      ++offered;
-      if (decision.admitted) {
-        ++admitted;
-        reserved_total += decision.reserved_bps;
-        if (*decision.destination_index == routes.shortest_destination(request.source)) {
-          ++near_hits;
-        }
-      }
+  for (const sim::TraceEvent& event : trace.events()) {
+    if (event.kind != sim::TraceEventKind::kAdmitted || event.time <= controls.warmup_s) {
+      continue;
     }
-    if (decision.admitted) {
-      auto& controller = ac_for(request.source);
-      // Init-capture keeps the closure member mutable so des::Action can
-      // relocate it with a move instead of a reallocating copy.
-      simulator.schedule_in(arrivals.draw_holding(),
-                            [&controller, kept = decision] { controller.release(kept); });
-    }
-  };
-  simulator.schedule_in(arrivals.next_interarrival(), arrival);
-  simulator.run_until(controls.warmup_s);
-  measuring = true;
-  simulator.run_until(controls.warmup_s + controls.measure_s);
-
-  Outcome outcome;
-  outcome.ap = offered == 0 ? 0.0 : static_cast<double>(admitted) / static_cast<double>(offered);
-  outcome.mean_reserved_kbps =
-      admitted == 0 ? 0.0 : reserved_total / static_cast<double>(admitted) / 1000.0;
-  outcome.near_member_share =
-      admitted == 0 ? 0.0 : static_cast<double>(near_hits) / static_cast<double>(admitted);
-  return outcome;
+    ++admitted;
+    reserved_total += event.bandwidth_bps;
+    const std::size_t nearest = simulation.routes().shortest_destination(event.source);
+    near_hits += event.destination == simulation.group().member(nearest) ? 1 : 0;
+  }
+  const double flows = static_cast<double>(admitted);
+  return {util::format_fixed(deadline_ms, 0), util::format_fixed(ap, 6),
+          util::format_fixed(admitted == 0 ? 0.0 : reserved_total / flows / 1000.0, 1),
+          util::format_fixed(admitted == 0 ? 0.0 : static_cast<double>(near_hits) / flows, 4)};
 }
 
 }  // namespace
@@ -119,10 +69,7 @@ int main(int argc, char** argv) {
                             "nearest-member share"});
   for (const std::string& field : util::split(flags.get_string("deadlines-ms"), ',')) {
     const double deadline_ms = util::parse_double(field).value();
-    const Outcome outcome = run(model, lambda, deadline_ms / 1000.0, controls);
-    table.add_row({util::format_fixed(deadline_ms, 0), util::format_fixed(outcome.ap, 6),
-                   util::format_fixed(outcome.mean_reserved_kbps, 1),
-                   util::format_fixed(outcome.near_member_share, 4)});
+    table.add_row(run(model, lambda, deadline_ms, controls));
     std::cerr << "  deadline " << deadline_ms << " ms done\n";
   }
   std::cout << (flags.get_bool("csv") ? table.to_csv() : table.to_text());

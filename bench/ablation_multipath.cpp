@@ -6,77 +6,9 @@
 // paper's fixed-route world, larger k closes the path-diversity share of
 // the GDI gap while staying a local, fixed-route procedure.
 #include "bench/bench_common.h"
-#include "src/core/multipath_admission.h"
-#include "src/core/retrial.h"
-#include "src/net/multipath.h"
-
-namespace {
-
-using namespace anyqos;
-
-// A lean flow-level loop driving MultiPathAdmissionController directly (the
-// Simulation class wires the single-path controllers).
-double run_multipath(const sim::ExperimentModel& model, double lambda, std::size_t k,
-                     std::size_t max_tries, const sim::RunControls& controls) {
-  const core::AnycastGroup group("g", model.group_members);
-  const net::MultiPathRouteTable routes(model.topology, model.group_members, k);
-  net::BandwidthLedger ledger(model.topology, model.anycast_share);
-  signaling::MessageCounter counter;
-  signaling::ReservationProtocol rsvp(ledger, counter);
-
-  des::SeedSequence seeds(controls.seed);
-  des::Simulator simulator;
-  sim::TrafficModel traffic;
-  traffic.arrival_rate = lambda;
-  traffic.mean_holding_s = model.mean_holding_s;
-  traffic.flow_bandwidth_bps = model.flow_bandwidth_bps;
-  traffic.sources = model.sources;
-  sim::ArrivalProcess arrivals(traffic, seeds);
-  des::RandomStream selection = seeds.stream("selection");
-
-  std::vector<std::unique_ptr<core::MultiPathAdmissionController>> acs(
-      model.topology.router_count());
-  const auto ac_for = [&](net::NodeId s) -> core::MultiPathAdmissionController& {
-    if (acs[s] == nullptr) {
-      acs[s] = std::make_unique<core::MultiPathAdmissionController>(
-          s, group, routes, rsvp, std::make_unique<core::CounterRetrialPolicy>(max_tries));
-    }
-    return *acs[s];
-  };
-
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  bool measuring = false;
-  std::function<void()> arrival = [&] {
-    simulator.schedule_in(arrivals.next_interarrival(), arrival);
-    const net::NodeId source = arrivals.draw_source();
-    const core::MultiPathDecision decision =
-        ac_for(source).admit(traffic.flow_bandwidth_bps, selection);
-    if (measuring) {
-      ++offered;
-      if (decision.admitted) {
-        ++admitted;
-      }
-    }
-    if (decision.admitted) {
-      // Init-capture keeps the closure member mutable so des::Action can
-      // relocate it with a move instead of a reallocating copy.
-      simulator.schedule_in(arrivals.draw_holding(),
-                            [&rsvp, route = decision.route, &traffic] {
-                              rsvp.teardown(route, traffic.flow_bandwidth_bps);
-                            });
-    }
-  };
-  simulator.schedule_in(arrivals.next_interarrival(), arrival);
-  simulator.run_until(controls.warmup_s);
-  measuring = true;
-  simulator.run_until(controls.warmup_s + controls.measure_s);
-  return offered == 0 ? 0.0 : static_cast<double>(admitted) / static_cast<double>(offered);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace anyqos;
   util::CliFlags flags("ablation_multipath",
                        "k fixed paths per member: closing the GDI path-diversity gap");
   bench::add_run_flags(flags);
@@ -91,15 +23,16 @@ int main(int argc, char** argv) {
 
   util::TablePrinter table({"lambda", "k=1 R=2", "k=2 R=3", "k=3 R=4", "GDI"});
   for (const double lambda : lambdas) {
+    const auto ap = [&](const std::function<void(sim::SimulationConfig&)>& configure) {
+      return util::format_fixed(
+          bench::run_system(model, lambda, controls, configure).admission_probability, 6);
+    };
     std::vector<std::string> row = {util::format_fixed(lambda, 1)};
-    row.push_back(util::format_fixed(run_multipath(model, lambda, 1, 2, controls), 6));
-    row.push_back(util::format_fixed(run_multipath(model, lambda, 2, 3, controls), 6));
-    row.push_back(util::format_fixed(run_multipath(model, lambda, 3, 4, controls), 6));
-    sim::SimulationConfig config = model.base_config(lambda);
-    sim::apply_run_controls(config, controls);
-    config.use_gdi = true;
-    sim::Simulation gdi(model.topology, config);
-    row.push_back(util::format_fixed(gdi.run().admission_probability, 6));
+    for (const std::size_t k : {1, 2, 3}) {  // R = k + 1
+      row.push_back(
+          ap([k](sim::SimulationConfig& c) { c.policy = sim::multipath_policy(k, k + 1); }));
+    }
+    row.push_back(ap([](sim::SimulationConfig& c) { c.use_gdi = true; }));
     table.add_row(std::move(row));
     std::cerr << "  lambda " << lambda << " done\n";
   }

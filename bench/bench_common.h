@@ -56,6 +56,17 @@ inline sim::RunControls run_controls(const util::CliFlags& flags) {
   return controls;
 }
 
+/// Runs the model at `lambda` under `controls`, after `configure` picks the
+/// system.
+inline sim::SimulationResult run_system(
+    const sim::ExperimentModel& model, double lambda, const sim::RunControls& controls,
+    const std::function<void(sim::SimulationConfig&)>& configure) {
+  sim::SimulationConfig config = model.base_config(lambda);
+  sim::apply_run_controls(config, controls);
+  configure(config);
+  return sim::Simulation(model.topology, config).run();
+}
+
 /// A column of a figure bench: one system configuration.
 struct SystemColumn {
   std::string label;
@@ -85,12 +96,9 @@ inline void run_figure(const util::CliFlags& flags, const std::string& metric_na
     for (const SystemColumn& system : systems) {
       stats::Accumulator across_seeds;
       for (std::size_t r = 0; r < replications; ++r) {
-        sim::SimulationConfig config = model.base_config(lambda);
-        sim::apply_run_controls(config, controls);
-        config.seed = controls.seed + r;
-        system.configure(config);
-        sim::Simulation simulation(model.topology, config);
-        across_seeds.add(extract(simulation.run()));
+        sim::RunControls replica = controls;
+        replica.seed += r;
+        across_seeds.add(extract(run_system(model, lambda, replica, system.configure)));
       }
       row.push_back(util::format_fixed(across_seeds.mean(), 6));
     }

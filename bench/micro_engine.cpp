@@ -223,14 +223,15 @@ void BM_GdiOracleAdmission(benchmark::State& state) {
   net::BandwidthLedger ledger(topo, 0.2);
   const core::AnycastGroup group("g", {0, 4, 8, 12, 16});
   core::GlobalAdmissionOracle oracle(topo, ledger, group);
+  des::RandomStream rng(1);  // the oracle draws nothing
   core::FlowRequest request;
   request.source = 9;
   request.bandwidth_bps = 64'000.0;
   for (auto _ : state) {
-    const auto decision = oracle.admit(request);
+    const auto decision = oracle.admit(0.0, request, rng);
     benchmark::DoNotOptimize(decision.admitted);
     if (decision.admitted) {
-      oracle.release(decision, request.bandwidth_bps);
+      oracle.release(decision.route, decision.reserved_bps);
     }
   }
 }

@@ -6,7 +6,9 @@
 //   2. Plugging a new DestinationSelector into the DAC procedure — here a
 //      "sticky" selector that remembers the last member that worked and keeps
 //      using it until it fails (a common load-balancer heuristic), compared
-//      against the paper's algorithms on the same workload.
+//      against the paper's algorithms on the same workload. A small
+//      core::AdmissionPolicy wires it into per-source AdmissionControllers,
+//      so sim::Simulation runs it like any built-in system.
 //
 //   $ ./custom_topology --lambda=60
 #include <iostream>
@@ -82,14 +84,11 @@ class StickySelector final : public core::DestinationSelector {
   }
 
   [[nodiscard]] std::vector<double> weights() const override {
-    std::vector<double> w(group_size_, 0.0);
-    if (sticky_.has_value()) {
-      w[*sticky_] = 1.0;
-    } else {
-      for (double& x : w) {
-        x = 1.0 / static_cast<double>(group_size_);
-      }
+    if (!sticky_.has_value()) {
+      return std::vector<double>(group_size_, 1.0 / static_cast<double>(group_size_));
     }
+    std::vector<double> w(group_size_, 0.0);
+    w[*sticky_] = 1.0;
     return w;
   }
 
@@ -100,86 +99,56 @@ class StickySelector final : public core::DestinationSelector {
   std::optional<std::size_t> sticky_;
 };
 
-// Run one system on the dumbbell by driving AdmissionControllers directly
-// with a Poisson workload (the Simulation class wires built-in algorithms;
-// a custom selector is wired at this level).
-struct RunStats {
-  double ap = 0.0;
-  double avg_tries = 0.0;
-};
+/// DAC with the sticky selector at every AC-router (R = 2).
+class StickyPolicy final : public core::AdmissionPolicy {
+ public:
+  explicit StickyPolicy(const sim::PolicyEnvironment& env)
+      : env_(env), controllers_(env.topology.router_count()) {}
 
-RunStats run_custom(const net::Topology& topo, bool sticky,
-                    core::SelectionAlgorithm fallback, double lambda) {
-  const core::AnycastGroup group("anycast://svc", {1, 6});  // one member per site
-  const net::RouteTable routes(topo, group.members());
-  net::BandwidthLedger ledger(topo, 0.5);
-  signaling::MessageCounter counter;
-  signaling::ReservationProtocol rsvp(ledger, counter);
-  signaling::ProbeService probe(ledger, counter);
-  const std::vector<net::NodeId> sources = {0, 2, 3};
-
-  des::SeedSequence seeds(7);
-  des::Simulator simulator;
-  sim::TrafficModel traffic;
-  traffic.arrival_rate = lambda;
-  traffic.mean_holding_s = 60.0;
-  traffic.flow_bandwidth_bps = 256'000.0;  // chunky media flows
-  traffic.sources = sources;
-  sim::ArrivalProcess arrivals(traffic, seeds);
-  des::RandomStream selection = seeds.stream("selection");
-
-  std::vector<std::unique_ptr<core::AdmissionController>> acs(topo.router_count());
-  const auto ac_for = [&](net::NodeId s) -> core::AdmissionController& {
-    if (acs[s] == nullptr) {
-      std::unique_ptr<core::DestinationSelector> selector;
-      if (sticky) {
-        selector = std::make_unique<StickySelector>(group.size());
-      } else {
-        core::SelectorEnvironment env;
-        env.source = s;
-        env.group = &group;
-        env.routes = &routes;
-        env.probe = &probe;
-        env.flow_bandwidth = traffic.flow_bandwidth_bps;
-        selector = core::make_selector(fallback, env);
-      }
-      acs[s] = std::make_unique<core::AdmissionController>(
-          s, group, routes, rsvp, std::move(selector),
+  [[nodiscard]] core::AdmissionDecision admit(double /*now*/, const core::FlowRequest& request,
+                                              des::RandomStream& rng) override {
+    auto& controller = controllers_[request.source];
+    if (controller == nullptr) {
+      controller = std::make_unique<core::AdmissionController>(
+          request.source, env_.group, env_.routes, env_.rsvp,
+          std::make_unique<StickySelector>(env_.group.size()),
           std::make_unique<core::CounterRetrialPolicy>(2));
     }
-    return *acs[s];
-  };
+    return controller->admit(request, rng);
+  }
 
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t tries = 0;
-  // Kernel category tags: free when no obs::KernelStats sink is attached,
-  // and they make this model legible to the kernel telemetry plane.
-  const des::EventCategory cat_arrival = simulator.category("sim.arrival");
-  const des::EventCategory cat_departure = simulator.category("sim.departure");
-  std::function<void()> arrival = [&] {
-    simulator.schedule_in(arrivals.next_interarrival(), cat_arrival, arrival);
-    core::FlowRequest request;
-    request.source = arrivals.draw_source();
-    request.bandwidth_bps = traffic.flow_bandwidth_bps;
-    const auto decision = ac_for(request.source).admit(request, selection);
-    ++offered;
-    tries += decision.attempts;
-    if (decision.admitted) {
-      ++admitted;
-      simulator.schedule_in(arrivals.draw_holding(), cat_departure,
-                            [&rsvp, route = decision.route, &traffic] {
-                              rsvp.teardown(route, traffic.flow_bandwidth_bps);
-                            });
-    }
-  };
-  simulator.schedule_in(arrivals.next_interarrival(), cat_arrival, arrival);
-  simulator.run_until(4'000.0);
+  void release(const net::Path& route, net::Bandwidth bandwidth_bps) override {
+    env_.rsvp.teardown(route, bandwidth_bps);
+  }
 
-  RunStats stats;
-  stats.ap = offered == 0 ? 0.0 : static_cast<double>(admitted) / static_cast<double>(offered);
-  stats.avg_tries = offered == 0 ? 0.0 : static_cast<double>(tries) / static_cast<double>(offered);
-  return stats;
+  [[nodiscard]] std::string label() const override { return "STICKY"; }
+
+ private:
+  sim::PolicyEnvironment env_;
+  std::vector<std::unique_ptr<core::AdmissionController>> controllers_;
+};
+
+/// Runs one system on the dumbbell: the sticky policy, or `algorithm`.
+sim::SimulationResult run_custom(const net::Topology& topo, bool sticky,
+                                 core::SelectionAlgorithm algorithm, double lambda) {
+  sim::SimulationConfig config;
+  config.traffic.arrival_rate = lambda;
+  config.traffic.mean_holding_s = 60.0;
+  config.traffic.flow_bandwidth_bps = 256'000.0;  // chunky media flows
+  config.traffic.sources = {0, 2, 3};
+  config.group_members = {1, 6};  // one member per site
+  config.anycast_share = 0.5;
+  config.algorithm = algorithm;
+  config.max_tries = 2;
+  config.warmup_s = 0.0;
+  config.measure_s = 4'000.0;
+  config.seed = 7;
+  if (sticky) {
+    config.policy = [](const sim::PolicyEnvironment& env) {
+      return std::make_unique<StickyPolicy>(env);
+    };
+  }
+  return sim::Simulation(topo, config).run();
 }
 
 }  // namespace
@@ -200,16 +169,16 @@ int main(int argc, char** argv) {
             << "256 kbit/s flows at " << lambda << "/s from site A\n\n";
 
   util::TablePrinter table({"selector", "admitted", "avg tries"});
-  const RunStats sticky = run_custom(topo, true, core::SelectionAlgorithm::kEvenDistribution,
-                                     lambda);
-  table.add_row({"STICKY (custom plug-in)", util::format_fixed(100.0 * sticky.ap, 1) + "%",
-                 util::format_fixed(sticky.avg_tries, 3)});
+  const auto add_row = [&table](const std::string& name, const sim::SimulationResult& result) {
+    table.add_row({name, util::format_fixed(100.0 * result.admission_probability, 1) + "%",
+                   util::format_fixed(result.attempts_histogram.mean(), 3)});
+  };
+  add_row("STICKY (custom plug-in)",
+          run_custom(topo, true, core::SelectionAlgorithm::kEvenDistribution, lambda));
   for (const auto algorithm :
        {core::SelectionAlgorithm::kEvenDistribution, core::SelectionAlgorithm::kDistanceHistory,
         core::SelectionAlgorithm::kDistanceBandwidth}) {
-    const RunStats stats = run_custom(topo, false, algorithm, lambda);
-    table.add_row({core::to_string(algorithm), util::format_fixed(100.0 * stats.ap, 1) + "%",
-                   util::format_fixed(stats.avg_tries, 3)});
+    add_row(core::to_string(algorithm), run_custom(topo, false, algorithm, lambda));
   }
   table.print(std::cout);
   std::cout << "\nThe sticky heuristic piles flows onto one member until it chokes the\n"

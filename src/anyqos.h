@@ -78,7 +78,6 @@
 #include "src/sim/traffic.h"
 #include "src/stats/accumulator.h"
 #include "src/stats/confidence.h"
-#include "src/stats/fairness.h"
 #include "src/stats/histogram.h"
 #include "src/stats/quantile.h"
 #include "src/stats/time_weighted.h"

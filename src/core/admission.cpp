@@ -98,6 +98,7 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
       decision.admitted = true;
       decision.destination_index = *index;
       decision.route = route;
+      decision.reserved_bps = request.bandwidth_bps;
       break;
     }
     if (!retrial_->keep_going(decision.attempts)) {
@@ -124,7 +125,8 @@ GlobalAdmissionOracle::GlobalAdmissionOracle(const net::Topology& topology,
                                              const AnycastGroup& group)
     : topology_(&topology), ledger_(&ledger), group_(&group) {}
 
-AdmissionDecision GlobalAdmissionOracle::admit(const FlowRequest& request) {
+AdmissionDecision GlobalAdmissionOracle::admit(double /*now*/, const FlowRequest& request,
+                                                des::RandomStream& /*rng*/) {
   util::require(request.bandwidth_bps > 0.0, "flow bandwidth must be positive");
   AdmissionDecision decision;
   decision.attempts = 1;  // the oracle searches once, globally
@@ -137,6 +139,7 @@ AdmissionDecision GlobalAdmissionOracle::admit(const FlowRequest& request) {
   util::ensure(ok, "feasible path must admit the reservation");
   decision.admitted = true;
   decision.route = std::move(*path);
+  decision.reserved_bps = request.bandwidth_bps;
   const auto member = std::find(group_->members().begin(), group_->members().end(),
                                 decision.route.destination);
   util::ensure(member != group_->members().end(), "oracle path must end at a group member");
@@ -145,10 +148,8 @@ AdmissionDecision GlobalAdmissionOracle::admit(const FlowRequest& request) {
   return decision;
 }
 
-void GlobalAdmissionOracle::release(const AdmissionDecision& decision,
-                                    net::Bandwidth bandwidth_bps) {
-  util::require(decision.admitted, "only admitted flows can be released");
-  ledger_->release(decision.route, bandwidth_bps);
+void GlobalAdmissionOracle::release(const net::Path& route, net::Bandwidth bandwidth_bps) {
+  ledger_->release(route, bandwidth_bps);
 }
 
 }  // namespace anyqos::core

@@ -1,10 +1,12 @@
-// The Distributed Admission Control procedure (paper Figure 1) and the GDI
-// oracle baseline (Section 5.1).
+// The Distributed Admission Control procedure (paper Figure 1), the
+// AdmissionPolicy seam every other admission procedure plugs into, and the
+// GDI oracle baseline (Section 5.1).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "src/core/group.h"
 #include "src/core/retrial.h"
@@ -25,17 +27,42 @@ struct FlowRequest {
   std::uint64_t request_id = 0;
 };
 
-/// Outcome of running the DAC procedure for one request.
+/// Outcome of running an admission procedure for one request.
 struct AdmissionDecision {
   bool admitted = false;
   /// Group-member index the flow was pinned to (set iff admitted).
   std::optional<std::size_t> destination_index;
   /// The reserved route (set iff admitted); release it at flow departure.
   net::Path route;
+  /// Bandwidth reserved along `route` (set iff admitted): the request's
+  /// demand, or a delay-bounded flow's member-specific rate.
+  net::Bandwidth reserved_bps = 0.0;
   /// Destinations tried, 1..R ("number of retrials" in the paper's metric).
   std::size_t attempts = 0;
   /// Signaling messages this decision generated.
   std::uint64_t messages = 0;
+  /// Queueing + service delay at a central agency, seconds (0 when local).
+  double decision_delay_s = 0.0;
+};
+
+/// One admission procedure for one anycast group. sim::Simulation runs a
+/// policy in place of its built-in per-source DAC controllers; GDI, the
+/// central agency, delay-bounded and multipath DAC implement it.
+class AdmissionPolicy {
+ public:
+  virtual ~AdmissionPolicy() = default;
+
+  /// Decides `request`, arriving at simulated time `now`, drawing from `rng`.
+  /// An admission holds `reserved_bps` along the route until release();
+  /// discarding the result leaks it, hence [[nodiscard]].
+  [[nodiscard]] virtual AdmissionDecision admit(double now, const FlowRequest& request,
+                                                des::RandomStream& rng) = 0;
+
+  /// Releases an admitted flow's `bandwidth_bps` along `route`.
+  virtual void release(const net::Path& route, net::Bandwidth bandwidth_bps) = 0;
+
+  /// The system's label in results, e.g. "GDI" or "CTRL@8".
+  [[nodiscard]] virtual std::string label() const = 0;
 };
 
 /// Observes the DAC loop attempt by attempt. Implemented by instrumentation
@@ -138,19 +165,23 @@ class AdmissionController {
 /// admitted iff *some* path with sufficient available bandwidth exists to
 /// *some* group member; we route it on the shortest such path. "Obviously,
 /// its performance is ideal, but it is not realistic" — it exists to bound
-/// the DAC systems from above, so it bypasses signaling (messages = 0).
-class GlobalAdmissionOracle {
+/// the DAC systems from above, so it bypasses signaling (messages = 0) and
+/// never calls an AdmissionObserver.
+class GlobalAdmissionOracle final : public AdmissionPolicy {
  public:
   /// References must outlive the oracle.
   GlobalAdmissionOracle(const net::Topology& topology, net::BandwidthLedger& ledger,
                         const AnycastGroup& group);
 
-  /// Admits via exhaustive feasible-path search; reserves on success.
-  /// Discarding the result leaks the reservation, hence [[nodiscard]].
-  [[nodiscard]] AdmissionDecision admit(const FlowRequest& request);
+  /// Admits via exhaustive feasible-path search; reserves on success. Draws
+  /// nothing from `rng`.
+  [[nodiscard]] AdmissionDecision admit(double now, const FlowRequest& request,
+                                        des::RandomStream& rng) override;
 
-  /// Releases an admitted flow's reservation.
-  void release(const AdmissionDecision& decision, net::Bandwidth bandwidth_bps);
+  /// Returns the bandwidth to the ledger directly (no TEAR signaling).
+  void release(const net::Path& route, net::Bandwidth bandwidth_bps) override;
+
+  [[nodiscard]] std::string label() const override { return "GDI"; }
 
  private:
   const net::Topology* topology_;

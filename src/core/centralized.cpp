@@ -13,8 +13,7 @@ CentralizedController::CentralizedController(const net::Topology& topology,
                                              signaling::ReservationProtocol& rsvp,
                                              net::NodeId controller_node,
                                              double decisions_per_second)
-    : topology_(&topology),
-      ledger_(&ledger),
+    : ledger_(&ledger),
       group_(&group),
       routes_(&routes),
       rsvp_(&rsvp),
@@ -36,10 +35,19 @@ std::size_t CentralizedController::control_distance(net::NodeId source) const {
   return control_hops_[source];
 }
 
-CentralizedDecision CentralizedController::admit(double now, net::NodeId source,
-                                                 net::Bandwidth bandwidth_bps) {
+std::string CentralizedController::label() const {
+  std::string label = "CTRL@";  // append form: GCC 12 -Wrestrict, PR 105329
+  label += std::to_string(controller_node_);
+  return label;
+}
+
+AdmissionDecision CentralizedController::admit(double now, const FlowRequest& request,
+                                               des::RandomStream& /*rng*/) {
+  const net::NodeId source = request.source;
+  const net::Bandwidth bandwidth_bps = request.bandwidth_bps;
   util::require(bandwidth_bps > 0.0, "flow bandwidth must be positive");
-  CentralizedDecision decision;
+  AdmissionDecision decision;
+  decision.attempts = 1;  // the agency decides in one shot
 
   // The agency is a single decision server: requests queue FCFS.
   const double start = std::max(now, busy_until_);
@@ -77,13 +85,12 @@ CentralizedDecision CentralizedController::admit(double now, net::NodeId source,
   decision.admitted = true;
   decision.destination_index = *best;
   decision.route = route;
+  decision.reserved_bps = bandwidth_bps;
   return decision;
 }
 
-void CentralizedController::release(const CentralizedDecision& decision,
-                                    net::Bandwidth bandwidth_bps) {
-  util::require(decision.admitted, "only admitted flows can be released");
-  rsvp_->teardown(decision.route, bandwidth_bps);
+void CentralizedController::release(const net::Path& route, net::Bandwidth bandwidth_bps) {
+  rsvp_->teardown(route, bandwidth_bps);
 }
 
 }  // namespace anyqos::core

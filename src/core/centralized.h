@@ -17,28 +17,18 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <string>
 #include <vector>
 
+#include "src/core/admission.h"
 #include "src/core/group.h"
 #include "src/net/routing.h"
 #include "src/signaling/rsvp.h"
 
 namespace anyqos::core {
 
-/// Outcome of a centralized decision.
-struct CentralizedDecision {
-  bool admitted = false;
-  std::optional<std::size_t> destination_index;
-  net::Path route;
-  /// Control messages: request + response to the agency, plus reservation.
-  std::uint64_t messages = 0;
-  /// Queueing + service delay at the agency, seconds (0 when unloaded).
-  double decision_delay_s = 0.0;
-};
-
 /// The central agency. One instance serves the whole network.
-class CentralizedController {
+class CentralizedController final : public AdmissionPolicy {
  public:
   /// `controller_node` hosts the agency; `decisions_per_second` bounds its
   /// throughput (the scalability bottleneck made explicit). References must
@@ -48,18 +38,23 @@ class CentralizedController {
                         signaling::ReservationProtocol& rsvp, net::NodeId controller_node,
                         double decisions_per_second);
 
-  /// Decides (and reserves) for a request arriving at simulated time `now`
-  /// from `source` with demand `bandwidth_bps`.
-  CentralizedDecision admit(double now, net::NodeId source, net::Bandwidth bandwidth_bps);
+  /// Decides (and reserves) for `request` arriving at simulated time `now`,
+  /// in one shot (attempts = 1). The decision carries the agency's queueing
+  /// + service delay and, in its messages, the request + verdict round trip
+  /// to the agency plus the reservation walk. Draws nothing from `rng`.
+  [[nodiscard]] AdmissionDecision admit(double now, const FlowRequest& request,
+                                        des::RandomStream& rng) override;
 
-  /// Releases an admitted flow.
-  void release(const CentralizedDecision& decision, net::Bandwidth bandwidth_bps);
+  /// Tears an admitted flow down via RSVP.
+  void release(const net::Path& route, net::Bandwidth bandwidth_bps) override;
+
+  /// "CTRL@<controller node>".
+  [[nodiscard]] std::string label() const override;
 
   /// Distance from `source` to the agency (message cost per request).
   [[nodiscard]] std::size_t control_distance(net::NodeId source) const;
 
  private:
-  const net::Topology* topology_;
   net::BandwidthLedger* ledger_;
   const AnycastGroup* group_;
   const net::RouteTable* routes_;

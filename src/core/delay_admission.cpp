@@ -7,62 +7,66 @@
 
 namespace anyqos::core {
 
-DelayAdmissionController::DelayAdmissionController(net::NodeId source,
-                                                   const AnycastGroup& group,
+DelayAdmissionController::DelayAdmissionController(const AnycastGroup& group,
                                                    const net::RouteTable& routes,
                                                    signaling::ReservationProtocol& rsvp,
-                                                   SchedulerModel scheduler,
-                                                   std::unique_ptr<RetrialPolicy> retrial)
-    : source_(source),
-      group_(&group),
+                                                   SchedulerModel scheduler, double max_delay_s,
+                                                   std::size_t max_tries)
+    : group_(&group),
       routes_(&routes),
       rsvp_(&rsvp),
       scheduler_(scheduler),
-      retrial_(std::move(retrial)) {
-  util::require(retrial_ != nullptr, "controller needs a retrial policy");
+      max_delay_s_(max_delay_s),
+      retrial_(max_tries) {
+  util::require(max_delay_s > 0.0, "deadline must be positive");
   util::require(group.size() == routes.destination_count(),
                 "route table must cover exactly the group members");
 }
 
+std::string DelayAdmissionController::label() const {
+  std::string label = "<DELAY,";
+  label += std::to_string(retrial_.max_attempts());
+  label += '>';
+  return label;
+}
+
 std::optional<net::Bandwidth> DelayAdmissionController::required_rate(
-    const QosRequirement& qos, std::size_t index) const {
-  const net::Path& route = routes_->route(source_, index);
+    net::NodeId source, net::Bandwidth floor_bps, std::size_t index) const {
+  const net::Path& route = routes_->route(source, index);
   // A co-located member (empty route) has no queueing path; only the rate
   // floor applies.
   const std::size_t hops = std::max<std::size_t>(route.hops(), 1);
-  return effective_bandwidth(qos, hops, scheduler_);
+  return effective_bandwidth(QosRequirement{floor_bps, max_delay_s_}, hops, scheduler_);
 }
 
-DelayAdmissionDecision DelayAdmissionController::admit(const DelayFlowRequest& request,
-                                                       des::RandomStream& rng) {
-  util::require(request.source == source_, "request routed to the wrong AC-router");
-  DelayAdmissionDecision decision;
+AdmissionDecision DelayAdmissionController::admit(double /*now*/, const FlowRequest& request,
+                                                  des::RandomStream& rng) {
+  AdmissionDecision decision;
   const std::uint64_t messages_before = rsvp_->counter().total();
 
-  // Per-member required rates; infeasible members get weight zero.
+  // Per-member required rates, weighted 1/rate (cheaper reservation =
+  // heavier weight); infeasible and tried members weigh zero.
   const std::size_t k = group_->size();
   std::vector<std::optional<net::Bandwidth>> rates(k);
+  std::vector<double> weights(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
-    rates[i] = required_rate(request.qos, i);
+    rates[i] = required_rate(request.source, request.bandwidth_bps, i);
+    if (rates[i].has_value()) {
+      weights[i] = 1.0 / *rates[i];
+    }
   }
-  std::vector<bool> tried(k, false);
-
   while (true) {
-    std::vector<double> weights(k, 0.0);
     double total = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!tried[i] && rates[i].has_value()) {
-        weights[i] = 1.0 / *rates[i];  // cheaper reservation = heavier weight
-        total += weights[i];
-      }
+    for (const double w : weights) {
+      total += w;
     }
     if (total <= 0.0) {
       break;  // nothing feasible remains
     }
     const std::size_t index = rng.weighted_index(weights);
-    tried[index] = true;
+    weights[index] = 0.0;
     ++decision.attempts;
-    const net::Path& route = routes_->route(source_, index);
+    const net::Path& route = routes_->route(request.source, index);
     const signaling::ReservationResult result = rsvp_->reserve(route, *rates[index]);
     if (result.admitted) {
       decision.admitted = true;
@@ -71,7 +75,7 @@ DelayAdmissionDecision DelayAdmissionController::admit(const DelayFlowRequest& r
       decision.reserved_bps = *rates[index];
       break;
     }
-    if (!retrial_->keep_going(decision.attempts)) {
+    if (!retrial_.keep_going(decision.attempts)) {
       break;
     }
   }
@@ -79,9 +83,8 @@ DelayAdmissionDecision DelayAdmissionController::admit(const DelayFlowRequest& r
   return decision;
 }
 
-void DelayAdmissionController::release(const DelayAdmissionDecision& decision) {
-  util::require(decision.admitted, "only admitted flows can be released");
-  rsvp_->teardown(decision.route, decision.reserved_bps);
+void DelayAdmissionController::release(const net::Path& route, net::Bandwidth bandwidth_bps) {
+  rsvp_->teardown(route, bandwidth_bps);
 }
 
 }  // namespace anyqos::core

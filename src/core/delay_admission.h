@@ -14,9 +14,10 @@
 //     decision records it so teardown releases exactly what was reserved.
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <string>
 
+#include "src/core/admission.h"
 #include "src/core/group.h"
 #include "src/core/qos.h"
 #include "src/core/retrial.h"
@@ -26,50 +27,41 @@
 
 namespace anyqos::core {
 
-/// A flow request carrying a full QoS requirement instead of a bare rate.
-struct DelayFlowRequest {
-  net::NodeId source = net::kInvalidNode;
-  QosRequirement qos;
-};
-
-/// Outcome of delay-aware admission.
-struct DelayAdmissionDecision {
-  bool admitted = false;
-  std::optional<std::size_t> destination_index;
-  net::Path route;
-  /// The rate actually reserved (member-specific); needed for release.
-  net::Bandwidth reserved_bps = 0.0;
-  std::size_t attempts = 0;
-  std::uint64_t messages = 0;
-};
-
-/// AC-router logic for delay-constrained anycast flows.
-class DelayAdmissionController {
+/// Delay-bounded DAC for one anycast group: every flow carries the same
+/// end-to-end deadline, and a request's bandwidth is its rate floor.
+class DelayAdmissionController final : public AdmissionPolicy {
  public:
-  /// Referenced objects must outlive the controller.
-  DelayAdmissionController(net::NodeId source, const AnycastGroup& group,
-                           const net::RouteTable& routes, signaling::ReservationProtocol& rsvp,
-                           SchedulerModel scheduler, std::unique_ptr<RetrialPolicy> retrial);
+  /// Tries at most `max_tries` members per request. Referenced objects must
+  /// outlive the controller.
+  DelayAdmissionController(const AnycastGroup& group, const net::RouteTable& routes,
+                           signaling::ReservationProtocol& rsvp, SchedulerModel scheduler,
+                           double max_delay_s, std::size_t max_tries);
 
   /// Runs the DAC loop; on admission the member-specific effective bandwidth
-  /// is reserved along the returned route.
-  DelayAdmissionDecision admit(const DelayFlowRequest& request, des::RandomStream& rng);
+  /// is reserved along the returned route and recorded in `reserved_bps`.
+  [[nodiscard]] AdmissionDecision admit(double now, const FlowRequest& request,
+                                        des::RandomStream& rng) override;
 
-  /// Releases an admitted flow's reservation.
-  void release(const DelayAdmissionDecision& decision);
+  /// Tears an admitted flow down via RSVP; pass the decision's reserved_bps.
+  void release(const net::Path& route, net::Bandwidth bandwidth_bps) override;
 
-  /// The effective rate member `index` would need for `qos`, or nullopt when
-  /// its route cannot meet the deadline. Exposed for tests and planning.
-  [[nodiscard]] std::optional<net::Bandwidth> required_rate(const QosRequirement& qos,
+  /// "<DELAY,R>".
+  [[nodiscard]] std::string label() const override;
+
+  /// The effective rate member `index` would need from `source` at rate
+  /// floor `floor_bps`, or nullopt when its route cannot meet the deadline.
+  /// Exposed for tests and planning.
+  [[nodiscard]] std::optional<net::Bandwidth> required_rate(net::NodeId source,
+                                                            net::Bandwidth floor_bps,
                                                             std::size_t index) const;
 
  private:
-  net::NodeId source_;
   const AnycastGroup* group_;
   const net::RouteTable* routes_;
   signaling::ReservationProtocol* rsvp_;
   SchedulerModel scheduler_;
-  std::unique_ptr<RetrialPolicy> retrial_;
+  double max_delay_s_;
+  CounterRetrialPolicy retrial_;
 };
 
 }  // namespace anyqos::core

@@ -1,42 +1,44 @@
 #include "src/core/multipath_admission.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "src/util/require.h"
 
 namespace anyqos::core {
 
 MultiPathAdmissionController::MultiPathAdmissionController(
-    net::NodeId source, const AnycastGroup& group, const net::MultiPathRouteTable& routes,
-    signaling::ReservationProtocol& rsvp, std::unique_ptr<RetrialPolicy> retrial)
-    : source_(source),
-      group_(&group),
-      routes_(&routes),
+    const net::Topology& topology, const AnycastGroup& group, std::size_t paths_per_member,
+    signaling::ReservationProtocol& rsvp, std::size_t max_tries)
+    : routes_(topology, group.members(), paths_per_member),
       rsvp_(&rsvp),
-      retrial_(std::move(retrial)) {
-  util::require(retrial_ != nullptr, "controller needs a retrial policy");
-  util::require(group.size() == routes.destination_count(),
-                "route table must cover exactly the group members");
-  for (std::size_t index = 0; index < routes.destination_count(); ++index) {
-    for (std::size_t rank = 0; rank < routes.path_count(source, index); ++rank) {
-      Alternative alt;
-      alt.destination_index = index;
-      alt.path_rank = rank;
-      alt.route = &routes.path(source, index, rank);
-      flat_.push_back(alt);
-      base_weights_.push_back(
-          1.0 / static_cast<double>(std::max<std::size_t>(alt.route->hops(), 1)));
-    }
-  }
-  util::ensure(!flat_.empty(), "no alternatives from this source");
+      retrial_(max_tries) {}
+
+std::string MultiPathAdmissionController::label() const {
+  std::string label = "<MP";
+  label += std::to_string(routes_.max_paths_per_pair());
+  label += ',';
+  label += std::to_string(retrial_.max_attempts());
+  label += '>';
+  return label;
 }
 
-MultiPathDecision MultiPathAdmissionController::admit(net::Bandwidth bandwidth_bps,
+AdmissionDecision MultiPathAdmissionController::admit(double /*now*/, const FlowRequest& request,
                                                       des::RandomStream& rng) {
-  util::require(bandwidth_bps > 0.0, "flow bandwidth must be positive");
-  MultiPathDecision decision;
+  util::require(request.bandwidth_bps > 0.0, "flow bandwidth must be positive");
+  // The source's (member, rank) alternatives, weighted 1/hops.
+  std::vector<std::pair<std::size_t, std::size_t>> alternatives;
+  std::vector<double> weights;
+  for (std::size_t index = 0; index < routes_.destination_count(); ++index) {
+    for (std::size_t rank = 0; rank < routes_.path_count(request.source, index); ++rank) {
+      alternatives.emplace_back(index, rank);
+      weights.push_back(1.0 / static_cast<double>(std::max<std::size_t>(
+                                  routes_.path(request.source, index, rank).hops(), 1)));
+    }
+  }
+  AdmissionDecision decision;
   const std::uint64_t messages_before = rsvp_->counter().total();
-  std::vector<double> weights = base_weights_;
   while (true) {
     double total = 0.0;
     for (const double w : weights) {
@@ -48,16 +50,17 @@ MultiPathDecision MultiPathAdmissionController::admit(net::Bandwidth bandwidth_b
     const std::size_t pick = rng.weighted_index(weights);
     weights[pick] = 0.0;  // without replacement
     ++decision.attempts;
-    const Alternative& alt = flat_[pick];
-    const signaling::ReservationResult result = rsvp_->reserve(*alt.route, bandwidth_bps);
+    const auto [index, rank] = alternatives[pick];
+    const net::Path& route = routes_.path(request.source, index, rank);
+    const signaling::ReservationResult result = rsvp_->reserve(route, request.bandwidth_bps);
     if (result.admitted) {
       decision.admitted = true;
-      decision.destination_index = alt.destination_index;
-      decision.path_rank = alt.path_rank;
-      decision.route = *alt.route;
+      decision.destination_index = index;
+      decision.route = route;
+      decision.reserved_bps = request.bandwidth_bps;
       break;
     }
-    if (!retrial_->keep_going(decision.attempts)) {
+    if (!retrial_.keep_going(decision.attempts)) {
       break;
     }
   }
@@ -65,10 +68,9 @@ MultiPathDecision MultiPathAdmissionController::admit(net::Bandwidth bandwidth_b
   return decision;
 }
 
-void MultiPathAdmissionController::release(const MultiPathDecision& decision,
+void MultiPathAdmissionController::release(const net::Path& route,
                                            net::Bandwidth bandwidth_bps) {
-  util::require(decision.admitted, "only admitted flows can be released");
-  rsvp_->teardown(decision.route, bandwidth_bps);
+  rsvp_->teardown(route, bandwidth_bps);
 }
 
 }  // namespace anyqos::core

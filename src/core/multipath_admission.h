@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <string>
 
+#include "src/core/admission.h"
 #include "src/core/group.h"
 #include "src/core/retrial.h"
 #include "src/des/random.h"
@@ -20,48 +20,37 @@
 
 namespace anyqos::core {
 
-/// Outcome of multipath admission.
-struct MultiPathDecision {
-  bool admitted = false;
-  std::optional<std::size_t> destination_index;
-  std::optional<std::size_t> path_rank;   ///< which alternative carried it
-  net::Path route;
-  std::size_t attempts = 0;
-  std::uint64_t messages = 0;
-};
-
-/// AC-router logic drawing from (member, path) alternatives.
-class MultiPathAdmissionController {
+/// Multipath DAC for one anycast group: each AC-router draws from its own
+/// (member, path) alternatives.
+class MultiPathAdmissionController final : public AdmissionPolicy {
  public:
-  /// Referenced objects must outlive the controller.
-  MultiPathAdmissionController(net::NodeId source, const AnycastGroup& group,
-                               const net::MultiPathRouteTable& routes,
+  /// Builds the group's `paths_per_member`-shortest route table over
+  /// `topology` and tries at most `max_tries` alternatives per request.
+  /// `rsvp` must outlive the controller.
+  MultiPathAdmissionController(const net::Topology& topology, const AnycastGroup& group,
+                               std::size_t paths_per_member,
                                signaling::ReservationProtocol& rsvp,
-                               std::unique_ptr<RetrialPolicy> retrial);
+                               std::size_t max_tries);
 
-  /// Runs the DAC loop over (member, path) alternatives.
-  MultiPathDecision admit(net::Bandwidth bandwidth_bps, des::RandomStream& rng);
+  /// Runs the DAC loop over the source's (member, path) alternatives.
+  [[nodiscard]] AdmissionDecision admit(double now, const FlowRequest& request,
+                                        des::RandomStream& rng) override;
 
-  /// Releases an admitted flow's reservation.
-  void release(const MultiPathDecision& decision, net::Bandwidth bandwidth_bps);
+  /// Tears an admitted flow down via RSVP.
+  void release(const net::Path& route, net::Bandwidth bandwidth_bps) override;
 
-  /// Number of selection alternatives from this source.
-  [[nodiscard]] std::size_t alternatives() const { return flat_.size(); }
+  /// "<MP<k>,R>", e.g. "<MP3,4>".
+  [[nodiscard]] std::string label() const override;
+
+  /// Number of selection alternatives from `source`.
+  [[nodiscard]] std::size_t alternatives(net::NodeId source) const {
+    return routes_.alternatives(source);
+  }
 
  private:
-  struct Alternative {
-    std::size_t destination_index;
-    std::size_t path_rank;
-    const net::Path* route;
-  };
-
-  net::NodeId source_;
-  const AnycastGroup* group_;
-  const net::MultiPathRouteTable* routes_;
+  net::MultiPathRouteTable routes_;
   signaling::ReservationProtocol* rsvp_;
-  std::unique_ptr<RetrialPolicy> retrial_;
-  std::vector<Alternative> flat_;
-  std::vector<double> base_weights_;  // 1/hops, unnormalized
+  CounterRetrialPolicy retrial_;
 };
 
 }  // namespace anyqos::core

@@ -1,6 +1,7 @@
 #include "src/core/selectors.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "src/util/require.h"
@@ -110,10 +111,16 @@ void DistanceBandwidthSelector::bandwidths_to_weights(std::span<double> bandwidt
 
 std::optional<std::size_t> DistanceBandwidthSelector::select(std::span<const bool> tried,
                                                              des::RandomStream& rng) {
+  util::require(tried.size() == drawn_.size(), "tried mask must match group size");
   // Eq. (11): one PROBE / PROBE_REPLY exchange per member route, the
   // signaling cost the paper charges WD/D+B for.
   for (std::size_t i = 0; i < drawn_.size(); ++i) {
     drawn_[i] = probe_->route_bandwidth(routes_->route(source_, i));
+    if (tried[i] && std::isinf(drawn_[i])) {
+      // A tried co-located member would keep all the weight (B_i = +inf);
+      // without it the others keep their eq. (12) weights.
+      drawn_[i] = 0.0;
+    }
   }
   bandwidths_to_weights(drawn_);
   return sample_masked(drawn_, tried, masked_, rng);

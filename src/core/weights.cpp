@@ -34,11 +34,23 @@ void bandwidth_distance_weights(std::span<double> weights,
                 "bandwidths and distances must have equal length");
   util::require(!weights.empty(), "weight vector needs at least one member");
   double total = 0.0;
+  std::size_t unbounded = 0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    util::require(weights[i] >= 0.0 && std::isfinite(weights[i]),
-                  "route bandwidths must be finite and non-negative");
+    util::require(weights[i] >= 0.0, "route bandwidths must be non-negative (not NaN)");
+    if (std::isinf(weights[i])) {
+      ++unbounded;
+      continue;
+    }
     weights[i] /= static_cast<double>(std::max<std::size_t>(distances[i], 1));
     total += weights[i];
+  }
+  if (unbounded > 0) {
+    // The limit of eq. (12) as B_i -> +inf: the link-free routes share all
+    // the weight.
+    for (double& w : weights) {
+      w = std::isinf(w) ? 1.0 / static_cast<double>(unbounded) : 0.0;
+    }
+    return;
   }
   if (total <= 0.0) {
     inverse_distance_weights(distances, weights);

@@ -30,7 +30,10 @@ void inverse_distance_weights(std::span<const std::size_t> distances, std::span<
 /// bandwidth-over-distance weights W_i ∝ B_i / D_i (eq. 12), in place. When
 /// every B_i is zero the result falls back to inverse-distance weights so a
 /// selection can still be made (the reservation will then fail and retrial
-/// control takes over); the paper leaves this corner unspecified.
+/// control takes over); the paper leaves this corner unspecified. A route
+/// with no links (the source is the member's router) has B_i = +inf; eq.
+/// (12)'s limit gives such members all the weight, shared equally. NaN or
+/// negative bandwidths throw.
 void bandwidth_distance_weights(std::span<double> weights,
                                 std::span<const std::size_t> distances);
 

@@ -1,5 +1,8 @@
 #include "src/sim/experiment.h"
 
+#include "src/core/centralized.h"
+#include "src/core/delay_admission.h"
+#include "src/core/multipath_admission.h"
 #include "src/util/require.h"
 
 namespace anyqos::sim {
@@ -35,6 +38,29 @@ void apply_run_controls(SimulationConfig& config, const RunControls& controls) {
   config.warmup_s = controls.warmup_s;
   config.measure_s = controls.measure_s;
   config.seed = controls.seed;
+}
+
+PolicyFactory centralized_policy(net::NodeId controller_node, double decisions_per_second) {
+  return [controller_node, decisions_per_second](const PolicyEnvironment& env) {
+    return std::make_unique<core::CentralizedController>(env.topology, env.ledger, env.group,
+                                                         env.routes, env.rsvp, controller_node,
+                                                         decisions_per_second);
+  };
+}
+
+PolicyFactory delay_policy(core::SchedulerModel scheduler, double max_delay_s,
+                           std::size_t max_tries) {
+  return [scheduler, max_delay_s, max_tries](const PolicyEnvironment& env) {
+    return std::make_unique<core::DelayAdmissionController>(env.group, env.routes, env.rsvp,
+                                                            scheduler, max_delay_s, max_tries);
+  };
+}
+
+PolicyFactory multipath_policy(std::size_t paths_per_member, std::size_t max_tries) {
+  return [paths_per_member, max_tries](const PolicyEnvironment& env) {
+    return std::make_unique<core::MultiPathAdmissionController>(
+        env.topology, env.group, paths_per_member, env.rsvp, max_tries);
+  };
 }
 
 }  // namespace anyqos::sim

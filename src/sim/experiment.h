@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/qos.h"
 #include "src/net/topologies.h"
 #include "src/sim/simulation.h"
 
@@ -37,5 +38,20 @@ struct RunControls {
   std::uint64_t seed = 1;
 };
 void apply_run_controls(SimulationConfig& config, const RunControls& controls);
+
+// SimulationConfig::policy factories for the library's admission policies.
+
+/// The central agency (Section 1) at `controller_node`, deciding at most
+/// `decisions_per_second` requests per second ("CTRL@<node>").
+PolicyFactory centralized_policy(net::NodeId controller_node, double decisions_per_second);
+
+/// Delay-bounded DAC (Section 6): every flow must meet `max_delay_s` end to
+/// end under `scheduler`, trying at most `max_tries` members.
+PolicyFactory delay_policy(core::SchedulerModel scheduler, double max_delay_s,
+                           std::size_t max_tries);
+
+/// Multipath DAC over `paths_per_member` fixed paths per member, trying at
+/// most `max_tries` (member, path) alternatives.
+PolicyFactory multipath_policy(std::size_t paths_per_member, std::size_t max_tries);
 
 }  // namespace anyqos::sim

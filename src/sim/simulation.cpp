@@ -95,9 +95,9 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
     util::require(fault.repair_at > fault.fail_at, "node recovery must follow the crash");
   }
 
-  util::require(!(config_.use_gdi && config_.use_centralized),
-                "GDI and centralized baselines are mutually exclusive");
-  const bool is_dac = !config_.use_gdi && !config_.use_centralized;
+  util::require(!(config_.use_gdi && config_.policy),
+                "use_gdi and config.policy are mutually exclusive");
+  const bool is_dac = !config_.use_gdi && !config_.policy;
   util::require(is_dac || !config_.resilience.has_value(),
                 "resilient signaling applies to DAC runs only");
   util::require(is_dac || config_.churn.empty(), "member churn applies to DAC runs only");
@@ -120,10 +120,10 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
                   "ops replay directives must be sorted by apply time");
   }
   if (!config_.extra_groups.empty()) {
-    // These planes index the members of one group (or, for GDI and the
-    // central agency, decide for one group), so they stay single-group.
-    // Path repair and ops steering need reconvergence and the governor.
-    util::require(is_dac, "GDI and the centralized baseline run one group only");
+    // These planes index the members of one group (or, for GDI and a
+    // policy, decide for one group), so they stay single-group. Path repair
+    // and ops steering need reconvergence and the governor.
+    util::require(is_dac, "GDI and admission policies run one group only; extra groups need DAC");
     util::require(config_.churn.empty(), "member churn cannot run with extra groups");
     util::require(config_.governor == nullptr,
                   "the overload governor cannot run with extra groups");
@@ -198,11 +198,11 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
         });
   }
   if (config_.use_gdi) {
-    oracle_ = std::make_unique<core::GlobalAdmissionOracle>(topology, ledger_, primary().group);
-  } else if (config_.use_centralized) {
-    central_ = std::make_unique<core::CentralizedController>(
-        topology, ledger_, primary().group, primary().routes, *rsvp_, config_.controller_node,
-        config_.controller_rate);
+    policy_ = std::make_unique<core::GlobalAdmissionOracle>(topology, ledger_, primary().group);
+  } else if (config_.policy) {
+    policy_ = config_.policy(
+        PolicyEnvironment{topology, ledger_, primary().group, primary().routes, *rsvp_});
+    util::require(policy_ != nullptr, "the policy factory returned no policy");
   } else {
     // One AC-router (controller) per distinct source and group, each with
     // its own selector state — weights and history are local per the paper.
@@ -210,10 +210,11 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
       state.controllers.resize(topology.router_count());
     }
   }
+  label_ = policy_ != nullptr ? policy_->label() : system_label(config_);
 }
 
 core::AdmissionController& Simulation::controller_for(GroupState& state, net::NodeId source) {
-  util::ensure(!config_.use_gdi, "GDI runs have no per-source controllers");
+  util::ensure(policy_ == nullptr, "policy runs have no per-source controllers");
   auto& slot = state.controllers[source];
   if (slot == nullptr) {
     core::SelectorEnvironment env;
@@ -390,13 +391,12 @@ void Simulation::wire_timeline() {
     });
     add_total("repairs_per_s", &MetricsCollector::lifetime_repaired);
   }
-  const bool is_dac = !config_.use_gdi && !config_.use_centralized;
   const core::AnycastGroup& group = primary().group;
   for (std::size_t index = 0; index < group.size(); ++index) {
     const std::string member = topology_->router_name(group.member(index));
     tl.add_gauge("member_up:" + member,
                  [&group, index] { return group.is_up(index) ? 1.0 : 0.0; });
-    if (is_dac) {
+    if (policy_ == nullptr) {
       // Paper-facing view of eqs. (2), (4)-(12): each AC-router keeps its own
       // weight vector, so the timeline records the mean weight of this member
       // across every primary-group controller instantiated so far.
@@ -475,7 +475,7 @@ void Simulation::publish_ops() {
     return;  // replay or log-only run: apply and log, nothing to serve
   }
   const double now = simulator_.now();
-  obs::Labels labels{{"system", system_label(config_)}};
+  obs::Labels labels{{"system", label_}};
   labels.insert(labels.end(), config_.ops_labels.begin(), config_.ops_labels.end());
 
   // A fresh registry per publish: gauges are point-in-time reads and the
@@ -639,18 +639,10 @@ void Simulation::handle_arrival(std::uint32_t index) {
   core::AdmissionDecision decision;
   const std::uint64_t path_before =
       governor_ != nullptr ? counter_.by_kind(signaling::MessageKind::kPath) : 0;
-  if (config_.use_gdi) {
-    decision = oracle_->admit(request);
-  } else if (config_.use_centralized) {
-    core::CentralizedDecision central =
-        central_->admit(simulator_.now(), request.source, request.bandwidth_bps);
-    decision.admitted = central.admitted;
-    decision.destination_index = central.destination_index;
-    decision.route = std::move(central.route);
-    decision.attempts = 1;  // the agency decides in one shot
-    decision.messages = central.messages;
+  if (policy_ != nullptr) {
+    decision = policy_->admit(simulator_.now(), request, selection_rng_);
     if (state.metrics.measuring()) {
-      decision_delay_.add(central.decision_delay_s);
+      decision_delay_.add(decision.decision_delay_s);
     }
   } else {
     decision = controller_for(state, request.source).admit(request, selection_rng_);
@@ -677,22 +669,26 @@ void Simulation::handle_arrival(std::uint32_t index) {
     return;
   }
 
+  start_flow(index, request, decision);
+  record_active_flows();
+  emit_trace(TraceEventKind::kAdmitted, request.request_id, request.source,
+             state.group.member(*decision.destination_index), decision.attempts,
+             decision.reserved_bps);
+}
+
+void Simulation::start_flow(std::uint32_t group, const core::FlowRequest& request,
+                            core::AdmissionDecision& decision) {
   touch_links(decision.route);
   ActiveFlow flow;
   flow.request_id = request.request_id;
   flow.source = request.source;
-  flow.group = index;
+  flow.group = group;
   flow.destination_index = *decision.destination_index;
   flow.route = std::move(decision.route);
-  flow.bandwidth_bps = request.bandwidth_bps;
+  flow.bandwidth_bps = decision.reserved_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
-  record_active_flows();
-  emit_trace(TraceEventKind::kAdmitted, request.request_id, request.source,
-             state.group.member(*decision.destination_index), decision.attempts,
-             request.bandwidth_bps);
-
-  simulator_.schedule_in(state.arrivals.draw_holding(), cat_departure_,
+  simulator_.schedule_in(groups_[group].arrivals.draw_holding(), cat_departure_,
                          [this, id] { handle_departure(id); });
 }
 
@@ -716,11 +712,11 @@ void Simulation::handle_departure(FlowId id) {
   }
   const ActiveFlow flow = flows_.take(id);
   GroupState& state = groups_[flow.group];
-  if (config_.use_gdi) {
-    ledger_.release(flow.route, flow.bandwidth_bps);
+  if (policy_ != nullptr) {
+    policy_->release(flow.route, flow.bandwidth_bps);
   } else {
-    // CTRL also tears via RSVP. Under the resilient protocol the TEAR may be
-    // lost, deferring the release to soft-state orphan reclamation.
+    // Under the resilient protocol the TEAR may be lost, deferring the
+    // release to soft-state orphan reclamation.
     rsvp_->teardown(flow.route, flow.bandwidth_bps);
   }
   state.metrics.record_teardown(TeardownCause::kExplicit);
@@ -756,8 +752,9 @@ void Simulation::drop_flows_on_link(net::LinkId link) {
       touch_links(flow.route);
       continue;  // outcome (kRepaired / kRepairFailed / kDeparted) traces later
     }
-    if (config_.use_gdi) {
-      ledger_.release(flow.route, flow.bandwidth_bps);
+    if (policy_ != nullptr) {
+      // Policy runs signal over the plain walk, whose release always commits.
+      policy_->release(flow.route, flow.bandwidth_bps);
     } else {
       // The link is about to be taken out of service and the ledger requires
       // it idle, so the release must commit now — a lossy TEAR would leave
@@ -1104,31 +1101,16 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   if (!decision.admitted) {
     return;
   }
-  touch_links(decision.route);
-  ActiveFlow flow;
-  flow.request_id = request.request_id;
-  flow.source = request.source;
-  flow.group = displaced.group;
-  flow.destination_index = *decision.destination_index;
-  flow.route = std::move(decision.route);
-  flow.bandwidth_bps = request.bandwidth_bps;
-  flow.admitted_at = simulator_.now();
-  const FlowId id = flows_.insert(std::move(flow));
+  start_flow(displaced.group, request, decision);
   emit_trace(TraceEventKind::kFailover, request.request_id, request.source,
              state.group.member(*decision.destination_index), decision.attempts,
-             request.bandwidth_bps);
-  simulator_.schedule_in(state.arrivals.draw_holding(), cat_departure_,
-                         [this, id] { handle_departure(id); });
+             decision.reserved_bps);
 }
 
 std::string Simulation::system_label(const SimulationConfig& config) {
+  util::require(!config.policy, "a policy run is labelled by its policy");
   if (config.use_gdi) {
     return "GDI";
-  }
-  if (config.use_centralized) {
-    std::string label = "CTRL@";  // append form: GCC 12 -Wrestrict, PR 105329
-    label += std::to_string(config.controller_node);
-    return label;
   }
   if (config.algorithm == core::SelectionAlgorithm::kShortestPath && config.max_tries == 1) {
     return "SP";
@@ -1270,7 +1252,7 @@ SimulationResult Simulation::run() {
 
   const MetricsCollector& metrics = primary().metrics;
   SimulationResult result;
-  result.system_label = system_label(config_);
+  result.system_label = label_;
   result.admission_probability = metrics.admission_probability();
   result.admission_ci = metrics.admission_ci(0.95);
   result.average_attempts = metrics.average_attempts();

@@ -5,6 +5,11 @@
 // admission procedure; admitted flows hold bandwidth for an exponential
 // lifetime and then release it. Warm-up is discarded before measuring.
 //
+// DAC is built in: one core::AdmissionController per source router, which
+// the governor, churn, node-fault, reconvergence, repair and span planes
+// attach to. Every other procedure runs through one core::AdmissionPolicy
+// (SimulationConfig::policy or use_gdi).
+//
 // A run may carry several anycast groups (multi-service extension): the
 // paper's one group is the run's "primary" group, and each extra group is
 // its own Poisson stream with its own members and <A, R> tuple. Groups
@@ -23,7 +28,6 @@
 #include "src/control/directive.h"
 #include "src/control/governor.h"
 #include "src/core/admission.h"
-#include "src/core/centralized.h"
 #include "src/core/selector.h"
 #include "src/des/simulator.h"
 #include "src/net/bandwidth.h"
@@ -85,6 +89,20 @@ struct GroupSpec {
   double alpha = 0.5;                            ///< WD/D+H history discount
 };
 
+/// What a SimulationConfig::policy factory may bind its policy to; the
+/// Simulation owns all of it and keeps it alive as long as the policy.
+struct PolicyEnvironment {
+  const net::Topology& topology;
+  net::BandwidthLedger& ledger;
+  const core::AnycastGroup& group;
+  const net::RouteTable& routes;  ///< the group's shortest-path routes
+  signaling::ReservationProtocol& rsvp;
+};
+
+/// Builds the admission policy of a run (SimulationConfig::policy).
+using PolicyFactory =
+    std::function<std::unique_ptr<core::AdmissionPolicy>(const PolicyEnvironment&)>;
+
 /// Full description of one simulation run. The workload and system fields
 /// describe the run's primary group; `extra_groups` adds more.
 struct SimulationConfig {
@@ -95,19 +113,20 @@ struct SimulationConfig {
   /// Further anycast groups on the same ledger, source set and mean holding
   /// time. Each draws its arrivals, sources and holding times from its own
   /// named streams, so adding a group never shifts another group's arrival
-  /// sequence. Planes that index the members of one group — GDI, the
-  /// centralized baseline, member churn, the governor (and so ops steering),
+  /// sequence. Planes that index the members of one group — GDI, an
+  /// admission policy, member churn, the governor (and so ops steering),
   /// node faults, reconvergence and path repair — reject extra groups; the
   /// other planes cover every group.
   std::vector<GroupSpec> extra_groups;
 
   // --- System under test (the paper's <A, R> tuple, or a baseline) ---
   bool use_gdi = false;                      ///< run the GDI oracle instead of DAC
-  /// Run the centralized-agency baseline (Section 1's alternative) instead
-  /// of DAC. Mutually exclusive with use_gdi.
-  bool use_centralized = false;
-  net::NodeId controller_node = 0;           ///< where the central agency lives
-  double controller_rate = 1.0e6;            ///< agency decisions per second
+  /// Run this admission procedure instead of the built-in DAC controllers
+  /// (e.g. sim::centralized_policy); the constructor calls it once. Like
+  /// GDI, a policy runs without the DAC-only planes (resilience, churn,
+  /// governor, node faults, reconvergence, spans) and without extra groups.
+  /// Mutually exclusive with use_gdi.
+  PolicyFactory policy;
   core::SelectionAlgorithm algorithm = core::SelectionAlgorithm::kEvenDistribution;
   std::size_t max_tries = 2;                 ///< R: destinations tried per request
   double alpha = 0.5;                        ///< WD/D+H history discount
@@ -317,8 +336,8 @@ struct SimulationResult {
   double mean_link_utilization = 0.0;        ///< time-avg, then mean over links
   double max_link_utilization = 0.0;         ///< time-avg, then max over links
   signaling::MessageCounter messages;        ///< per-kind tallies
-  /// Mean queueing+service delay at the central agency per request, seconds
-  /// (0 for DAC/GDI runs — their decisions are local).
+  /// Mean AdmissionDecision::decision_delay_s per request, seconds: the
+  /// central agency's queueing + service delay (0 where decisions are local).
   double average_decision_delay_s = 0.0;
   /// Signaling setup delay per request: the resilient control plane's
   /// waiting (hop delay, retransmission timeouts, backoff), mean and 95th
@@ -350,7 +369,7 @@ class Simulation {
 
   /// Registers `observer` on every AC-router controller of every group,
   /// existing and lazily created later (nullptr detaches). DAC runs only —
-  /// GDI and the centralized baseline have no per-source controllers.
+  /// GDI and other policies have no per-source controllers and never call it.
   void set_admission_observer(core::AdmissionObserver* observer);
 
   /// The per-source selectors instantiated so far, every group's (DAC runs
@@ -401,7 +420,8 @@ class Simulation {
   /// True while the route table lags a topology change (reconvergence runs).
   [[nodiscard]] bool routes_stale() const { return routes_stale_; }
 
-  /// "<A,R>" label for this configuration (e.g. "<WD/D+H,2>", "GDI").
+  /// "<A,R>" label for a DAC or GDI configuration (e.g. "<WD/D+H,2>",
+  /// "GDI"). A policy run is labelled by its policy's label().
   [[nodiscard]] static std::string system_label(const SimulationConfig& config);
 
  private:
@@ -439,6 +459,10 @@ class Simulation {
   void record_active_flows();
   void schedule_next_arrival(std::uint32_t index);
   void handle_arrival(std::uint32_t index);
+  /// Installs an admitted decision as a flow of group `group` (the route
+  /// moves out of `decision`) and schedules its departure.
+  void start_flow(std::uint32_t group, const core::FlowRequest& request,
+                  core::AdmissionDecision& decision);
   void handle_departure(FlowId id);
   void apply_fault(const LinkFault& fault);
   void repair_fault(const LinkFault& fault);
@@ -485,12 +509,12 @@ class Simulation {
   signaling::ResilientReservationProtocol* resilient_ = nullptr;  // rsvp_ downcast or null
   signaling::ProbeService probe_;
   des::RandomStream selection_rng_;
-  /// Every group's state, filled completely in the constructor: controllers,
-  /// the GDI oracle and the central agency keep references into it.
+  /// Every group's state, filled completely in the constructor: controllers
+  /// and the policy keep references into it.
   std::vector<GroupState> groups_;
   core::AdmissionObserver* admission_observer_ = nullptr;
-  std::unique_ptr<core::GlobalAdmissionOracle> oracle_;
-  std::unique_ptr<core::CentralizedController> central_;
+  std::unique_ptr<core::AdmissionPolicy> policy_;  // GDI or config_.policy; null for DAC
+  std::string label_;  // SimulationResult::system_label
   stats::Accumulator decision_delay_;
   stats::Accumulator setup_delay_;
   stats::P2Quantile setup_delay_p95_{0.95};

@@ -166,12 +166,14 @@ TEST(AdmissionController, MessagesAccumulateAcrossRetries) {
 TEST(GlobalOracle, AdmitsViaAnyFeasiblePath) {
   Fixture f;
   GlobalAdmissionOracle oracle(f.topo, f.ledger, f.group);
-  const AdmissionDecision decision = oracle.admit(f.request());
+  const AdmissionDecision decision = oracle.admit(0.0, f.request(), f.rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(decision.route.destination, 1u);  // nearest member
   EXPECT_EQ(decision.attempts, 1u);
   EXPECT_EQ(decision.messages, 0u);  // oracle bypasses signaling
-  oracle.release(decision, 64'000.0);
+  EXPECT_DOUBLE_EQ(decision.reserved_bps, 64'000.0);
+  EXPECT_EQ(oracle.label(), "GDI");
+  oracle.release(decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
@@ -190,7 +192,8 @@ TEST(GlobalOracle, FindsDetourWhenFixedRoutesBlocked) {
   FlowRequest request;
   request.source = 0;
   request.bandwidth_bps = 64'000.0;
-  const AdmissionDecision decision = oracle.admit(request);
+  des::RandomStream rng(1);
+  const AdmissionDecision decision = oracle.admit(0.0, request, rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(decision.route.hops(), 3u);  // 0-5-4-3 the long way
 }
@@ -199,7 +202,7 @@ TEST(GlobalOracle, RejectsOnlyWhenNoPathAnywhere) {
   Fixture f;
   GlobalAdmissionOracle oracle(f.topo, f.ledger, f.group);
   f.saturate(0, 1);  // the line's only exit from node 0
-  const AdmissionDecision decision = oracle.admit(f.request());
+  const AdmissionDecision decision = oracle.admit(0.0, f.request(), f.rng);
   EXPECT_FALSE(decision.admitted);
 }
 
@@ -209,7 +212,7 @@ TEST(GlobalOracle, SourceColocatedWithMemberAlwaysAdmits) {
   FlowRequest request;
   request.source = 1;  // member router itself
   request.bandwidth_bps = 64'000.0;
-  const AdmissionDecision decision = oracle.admit(request);
+  const AdmissionDecision decision = oracle.admit(0.0, request, f.rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_TRUE(decision.route.empty());
 }

@@ -16,6 +16,7 @@ struct Fixture {
   net::BandwidthLedger ledger{topo, 0.2};
   signaling::MessageCounter counter;
   signaling::ReservationProtocol rsvp{ledger, counter};
+  des::RandomStream rng{1};  // the agency draws nothing
 
   CentralizedController controller(net::NodeId at = 2, double rate = 1000.0) {
     return CentralizedController(topo, ledger, group, routes, rsvp, at, rate);
@@ -33,11 +34,14 @@ struct Fixture {
 TEST(Centralized, AdmitsOnNearestFeasibleRoute) {
   Fixture f;
   auto controller = f.controller();
-  const CentralizedDecision decision = controller.admit(0.0, 0, 64'000.0);
+  const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(*decision.destination_index, 0u);  // 1 hop beats 4 hops
   EXPECT_EQ(decision.route.hops(), 1u);
-  controller.release(decision, 64'000.0);
+  EXPECT_EQ(decision.attempts, 1u);
+  EXPECT_DOUBLE_EQ(decision.reserved_bps, 64'000.0);
+  EXPECT_EQ(controller.label(), "CTRL@2");
+  controller.release(decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
@@ -45,11 +49,11 @@ TEST(Centralized, GlobalViewAvoidsDeadRoutesInOneShot) {
   Fixture f;
   f.saturate(0, 1);  // near member's route (and the far route's first hop)
   auto controller = f.controller();
-  const CentralizedDecision decision = controller.admit(0.0, 0, 64'000.0);
+  const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
   // Both fixed routes start with link 0-1 on a line: nothing is feasible.
   EXPECT_FALSE(decision.admitted);
   // From source 2 the routes diverge: 2->1 is fine.
-  const CentralizedDecision from2 = controller.admit(0.0, 2, 64'000.0);
+  const AdmissionDecision from2 = controller.admit(0.0, {2, 64'000.0}, f.rng);
   ASSERT_TRUE(from2.admitted);
   EXPECT_EQ(*from2.destination_index, 0u);
 }
@@ -59,7 +63,7 @@ TEST(Centralized, PicksFartherMemberWhenNearBlocked) {
   // From source 2: route to member 1 uses link 2->1; block it.
   f.saturate(2, 1);
   auto controller = f.controller();
-  const CentralizedDecision decision = controller.admit(0.0, 2, 64'000.0);
+  const AdmissionDecision decision = controller.admit(0.0, {2, 64'000.0}, f.rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(*decision.destination_index, 1u);  // member at node 4
 }
@@ -69,8 +73,8 @@ TEST(Centralized, ControlMessagesScaleWithDistanceToAgency) {
   auto controller = f.controller(/*at=*/4);
   EXPECT_EQ(controller.control_distance(4), 0u);
   EXPECT_EQ(controller.control_distance(0), 4u);
-  const CentralizedDecision near = controller.admit(0.0, 4, 64'000.0);
-  const CentralizedDecision far = controller.admit(0.0, 0, 64'000.0);
+  const AdmissionDecision near = controller.admit(0.0, {4, 64'000.0}, f.rng);
+  const AdmissionDecision far = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(near.admitted && far.admitted);
   // far pays 2*4 control messages more than a co-located source.
   EXPECT_EQ(far.messages - (far.route.hops() * 2), 8u);
@@ -80,14 +84,14 @@ TEST(Centralized, ControlMessagesScaleWithDistanceToAgency) {
 TEST(Centralized, DecisionServerQueues) {
   Fixture f;
   auto controller = f.controller(2, /*rate=*/10.0);  // 0.1 s per decision
-  const CentralizedDecision first = controller.admit(0.0, 0, 64'000.0);
-  const CentralizedDecision second = controller.admit(0.0, 0, 64'000.0);
-  const CentralizedDecision third = controller.admit(0.05, 0, 64'000.0);
+  const AdmissionDecision first = controller.admit(0.0, {0, 64'000.0}, f.rng);
+  const AdmissionDecision second = controller.admit(0.0, {0, 64'000.0}, f.rng);
+  const AdmissionDecision third = controller.admit(0.05, {0, 64'000.0}, f.rng);
   EXPECT_NEAR(first.decision_delay_s, 0.1, 1e-12);
   EXPECT_NEAR(second.decision_delay_s, 0.2, 1e-12);   // queued behind first
   EXPECT_NEAR(third.decision_delay_s, 0.25, 1e-12);   // arrives at 0.05, done 0.3
   // An idle period drains the queue.
-  const CentralizedDecision later = controller.admit(10.0, 0, 64'000.0);
+  const AdmissionDecision later = controller.admit(10.0, {0, 64'000.0}, f.rng);
   EXPECT_NEAR(later.decision_delay_s, 0.1, 1e-12);
 }
 
@@ -98,9 +102,11 @@ TEST(Centralized, Validation) {
   EXPECT_THROW(CentralizedController(f.topo, f.ledger, f.group, f.routes, f.rsvp, 0, 0.0),
                std::invalid_argument);
   auto controller = f.controller();
-  EXPECT_THROW(controller.admit(0.0, 0, 0.0), std::invalid_argument);
-  CentralizedDecision rejected;
-  EXPECT_THROW(controller.release(rejected, 64'000.0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(controller.admit(0.0, {0, 0.0}, f.rng)),
+               std::invalid_argument);
+  const AdmissionDecision admitted = controller.admit(0.0, {0, 64'000.0}, f.rng);
+  ASSERT_TRUE(admitted.admitted);
+  EXPECT_THROW(controller.release(admitted.route, 0.0), std::invalid_argument);
 }
 
 TEST(Centralized, AtLeastAsGoodAsAnyFixedRoutePolicy) {
@@ -110,7 +116,7 @@ TEST(Centralized, AtLeastAsGoodAsAnyFixedRoutePolicy) {
   des::RandomStream rng(5);
   for (int i = 0; i < 2000; ++i) {
     const net::NodeId source = static_cast<net::NodeId>(rng.uniform_index(5));
-    const CentralizedDecision decision = controller.admit(0.0, source, 64'000.0);
+    const AdmissionDecision decision = controller.admit(0.0, {source, 64'000.0}, f.rng);
     bool any_feasible = false;
     for (std::size_t m = 0; m < f.group.size(); ++m) {
       if (f.ledger.can_reserve(f.routes.route(source, m), 64'000.0)) {
@@ -120,7 +126,7 @@ TEST(Centralized, AtLeastAsGoodAsAnyFixedRoutePolicy) {
     if (decision.admitted) {
       // Occasionally release to keep churn going.
       if (rng.bernoulli(0.7)) {
-        controller.release(decision, 64'000.0);
+        controller.release(decision.route, decision.reserved_bps);
       }
     } else {
       EXPECT_FALSE(any_feasible) << "agency rejected despite a feasible route";

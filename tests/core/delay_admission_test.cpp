@@ -24,57 +24,49 @@ struct Fixture {
     return model;
   }
 
-  DelayAdmissionController controller(std::size_t r = 2) {
-    return DelayAdmissionController(0, group, routes, rsvp, scheduler(),
-                                    std::make_unique<CounterRetrialPolicy>(r));
+  DelayAdmissionController controller(double deadline_s, std::size_t r = 2) {
+    return DelayAdmissionController(group, routes, rsvp, scheduler(), deadline_s, r);
   }
 
-  DelayFlowRequest request(double deadline_s, net::Bandwidth floor = 1.0) {
-    DelayFlowRequest r;
-    r.source = 0;
-    r.qos.min_bandwidth_bps = floor;
-    r.qos.max_delay_s = deadline_s;
-    return r;
-  }
+  static constexpr FlowRequest kRequest{0, 1.0};  // source 0, 1 bit/s rate floor
 };
 
 TEST(DelayAdmission, RequiredRateScalesWithDistance) {
   Fixture f;
-  auto controller = f.controller();
-  const QosRequirement qos = f.request(0.1).qos;
-  const auto near = controller.required_rate(qos, 0);  // 1 hop
-  const auto far = controller.required_rate(qos, 1);   // 4 hops
+  auto controller = f.controller(0.1);
+  const auto near = controller.required_rate(0, 1.0, 0);  // 1 hop
+  const auto far = controller.required_rate(0, 1.0, 1);   // 4 hops
   ASSERT_TRUE(near && far);
   EXPECT_NEAR(*far / *near, 4.0, 1e-9);
 }
 
 TEST(DelayAdmission, AdmitsAndReservesMemberSpecificRate) {
   Fixture f;
-  auto controller = f.controller();
-  const DelayAdmissionDecision decision = controller.admit(f.request(0.1), f.rng);
+  auto controller = f.controller(0.1);
+  EXPECT_EQ(controller.label(), "<DELAY,2>");
+  const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
   ASSERT_TRUE(decision.admitted);
   ASSERT_TRUE(decision.destination_index.has_value());
-  const auto expected = controller.required_rate(f.request(0.1).qos,
-                                                 *decision.destination_index);
+  const auto expected = controller.required_rate(0, 1.0, *decision.destination_index);
   ASSERT_TRUE(expected.has_value());
   EXPECT_DOUBLE_EQ(decision.reserved_bps, *expected);
   EXPECT_DOUBLE_EQ(f.ledger.reserved(decision.route.links[0]), *expected);
-  controller.release(decision);
+  controller.release(decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
 TEST(DelayAdmission, PrefersCheaperNearMember) {
   Fixture f;
-  auto controller = f.controller();
+  auto controller = f.controller(0.5);
   int near_count = 0;
   const int trials = 2'000;
   for (int i = 0; i < trials; ++i) {
-    const DelayAdmissionDecision decision = controller.admit(f.request(0.5), f.rng);
+    const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
     ASSERT_TRUE(decision.admitted);
     if (*decision.destination_index == 0) {
       ++near_count;
     }
-    controller.release(decision);
+    controller.release(decision.route, decision.reserved_bps);
   }
   // Weights 1/rate: near member is 4x cheaper => ~80% share.
   EXPECT_NEAR(near_count / static_cast<double>(trials), 0.8, 0.04);
@@ -84,9 +76,8 @@ TEST(DelayAdmission, InfeasibleDeadlineRejectedWithoutSignaling) {
   Fixture f;
   SchedulerModel slow = f.scheduler();
   slow.per_hop_latency_s = 0.2;  // 1 hop alone eats 0.2 s
-  DelayAdmissionController controller(0, f.group, f.routes, f.rsvp, slow,
-                                      std::make_unique<CounterRetrialPolicy>(2));
-  const DelayAdmissionDecision decision = controller.admit(f.request(0.1), f.rng);
+  DelayAdmissionController controller(f.group, f.routes, f.rsvp, slow, 0.1, 2);
+  const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
   EXPECT_FALSE(decision.admitted);
   EXPECT_EQ(decision.attempts, 0u);
   EXPECT_EQ(decision.messages, 0u);
@@ -96,15 +87,14 @@ TEST(DelayAdmission, OnlyFeasibleMembersAreTried) {
   Fixture f;
   SchedulerModel model = f.scheduler();
   model.per_hop_latency_s = 0.02;
-  DelayAdmissionController controller(0, f.group, f.routes, f.rsvp, model,
-                                      std::make_unique<CounterRetrialPolicy>(2));
+  DelayAdmissionController controller(f.group, f.routes, f.rsvp, model, 0.05, 2);
   // Deadline 0.05 s: 4-hop member needs 0.08 s of fixed latency — infeasible;
   // 1-hop member is fine.
   for (int i = 0; i < 50; ++i) {
-    const DelayAdmissionDecision decision = controller.admit(f.request(0.05), f.rng);
+    const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
     ASSERT_TRUE(decision.admitted);
     EXPECT_EQ(*decision.destination_index, 0u);
-    controller.release(decision);
+    controller.release(decision.route, decision.reserved_bps);
   }
 }
 
@@ -112,10 +102,10 @@ TEST(DelayAdmission, TightDeadlineConsumesMoreCapacity) {
   // The delay-QoS coupling: halving the deadline doubles the per-flow
   // reservation, so the same link fits half as many flows.
   Fixture f;
-  auto controller = f.controller(1);
+  auto controller = f.controller(1.0, 1);
   int loose = 0;
   while (true) {
-    const DelayAdmissionDecision decision = controller.admit(f.request(1.0), f.rng);
+    const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
     if (!decision.admitted) {
       break;
     }
@@ -125,10 +115,10 @@ TEST(DelayAdmission, TightDeadlineConsumesMoreCapacity) {
     }
   }
   Fixture g;
-  auto controller2 = g.controller(1);
+  auto controller2 = g.controller(0.5, 1);
   int tight = 0;
   while (true) {
-    const DelayAdmissionDecision decision = controller2.admit(g.request(0.5), g.rng);
+    const AdmissionDecision decision = controller2.admit(0.0, Fixture::kRequest, g.rng);
     if (!decision.admitted) {
       break;
     }
@@ -151,21 +141,20 @@ TEST(DelayAdmission, RetryFallsBackToFartherMember) {
   far_link.destination = 4;
   far_link.links = {*f.topo.find_link(3, 4)};
   ASSERT_TRUE(f.ledger.reserve(far_link, 20.0e6));
-  auto controller = f.controller(2);
+  auto controller = f.controller(0.5, 2);
   for (int i = 0; i < 50; ++i) {
-    const DelayAdmissionDecision decision = controller.admit(f.request(0.5), f.rng);
+    const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
     ASSERT_TRUE(decision.admitted);
     EXPECT_EQ(*decision.destination_index, 0u);
-    controller.release(decision);
+    controller.release(decision.route, decision.reserved_bps);
   }
 }
 
 TEST(DelayAdmission, WrongSourceRejected) {
   Fixture f;
-  auto controller = f.controller();
-  DelayFlowRequest request = f.request(0.5);
-  request.source = 2;
-  EXPECT_THROW(controller.admit(request, f.rng), std::invalid_argument);
+  auto controller = f.controller(0.5);
+  // The line has routers 0..4.
+  EXPECT_THROW(static_cast<void>(controller.admit(0.0, {7, 1.0}, f.rng)), std::invalid_argument);
 }
 
 }  // namespace

@@ -12,15 +12,13 @@ namespace {
 struct Fixture {
   net::Topology topo = net::topologies::ring(6);
   AnycastGroup group{"g", {3}};
-  net::MultiPathRouteTable routes{topo, {3}, 2};
   net::BandwidthLedger ledger{topo, 0.2};
   signaling::MessageCounter counter;
   signaling::ReservationProtocol rsvp{ledger, counter};
   des::RandomStream rng{21};
 
   MultiPathAdmissionController controller(std::size_t r) {
-    return MultiPathAdmissionController(0, group, routes, rsvp,
-                                        std::make_unique<CounterRetrialPolicy>(r));
+    return MultiPathAdmissionController(topo, group, 2, rsvp, r);
   }
 
   void saturate(net::NodeId a, net::NodeId b) {
@@ -35,17 +33,19 @@ struct Fixture {
 TEST(MultiPathAdmission, ExposesAllAlternatives) {
   Fixture f;
   auto controller = f.controller(2);
-  EXPECT_EQ(controller.alternatives(), 2u);  // both ring directions
+  EXPECT_EQ(controller.alternatives(0), 2u);  // both ring directions
+  EXPECT_EQ(controller.label(), "<MP2,2>");
 }
 
 TEST(MultiPathAdmission, AdmitsAndReleases) {
   Fixture f;
   auto controller = f.controller(2);
-  const MultiPathDecision decision = controller.admit(64'000.0, f.rng);
+  const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(*decision.destination_index, 0u);
+  EXPECT_DOUBLE_EQ(decision.reserved_bps, 64'000.0);
   f.topo.validate_path(decision.route);
-  controller.release(decision, 64'000.0);
+  controller.release(decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
@@ -54,10 +54,10 @@ TEST(MultiPathAdmission, SurvivesPrimaryPathSaturation) {
   f.saturate(1, 2);  // kills 0-1-2-3
   auto controller = f.controller(2);
   for (int i = 0; i < 30; ++i) {
-    const MultiPathDecision decision = controller.admit(64'000.0, f.rng);
+    const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
     ASSERT_TRUE(decision.admitted);
     EXPECT_EQ(decision.route.links.front(), *f.topo.find_link(0, 5));
-    controller.release(decision, 64'000.0);
+    controller.release(decision.route, decision.reserved_bps);
   }
 }
 
@@ -70,9 +70,9 @@ TEST(MultiPathAdmission, SinglePathControllerCannotSurvive) {
   auto r1 = f.controller(1);  // one try: picks a path randomly, may fail
   int rejected = 0;
   for (int i = 0; i < 300; ++i) {
-    const MultiPathDecision decision = r1.admit(64'000.0, f.rng);
+    const AdmissionDecision decision = r1.admit(0.0, {0, 64'000.0}, f.rng);
     if (decision.admitted) {
-      r1.release(decision, 64'000.0);
+      r1.release(decision.route, decision.reserved_bps);
     } else {
       ++rejected;
     }
@@ -88,7 +88,7 @@ TEST(MultiPathAdmission, AttemptsBoundedByRetrialAndAlternatives) {
   f.saturate(0, 1);
   f.saturate(0, 5);  // both exits dead: nothing feasible
   auto controller = f.controller(5);  // R exceeds the 2 alternatives
-  const MultiPathDecision decision = controller.admit(64'000.0, f.rng);
+  const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
   EXPECT_FALSE(decision.admitted);
   EXPECT_EQ(decision.attempts, 2u);  // exhausted alternatives, not R
 }
@@ -98,22 +98,20 @@ TEST(MultiPathAdmission, ShorterAlternativesWeighHeavier) {
   // weights 1/2 vs 1/4 => the short path carries ~2/3 of first tries.
   net::Topology topo = net::topologies::ring(6);
   AnycastGroup group("g", {2});
-  net::MultiPathRouteTable routes(topo, {2}, 2);
   net::BandwidthLedger ledger(topo, 0.2);
   signaling::MessageCounter counter;
   signaling::ReservationProtocol rsvp(ledger, counter);
-  MultiPathAdmissionController controller(0, group, routes, rsvp,
-                                          std::make_unique<CounterRetrialPolicy>(1));
+  MultiPathAdmissionController controller(topo, group, 2, rsvp, 1);
   des::RandomStream rng(5);
   int via_short = 0;
   const int trials = 3'000;
   for (int i = 0; i < trials; ++i) {
-    const MultiPathDecision decision = controller.admit(64'000.0, rng);
+    const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, rng);
     ASSERT_TRUE(decision.admitted);
     if (decision.route.hops() == 2) {
       ++via_short;
     }
-    controller.release(decision, 64'000.0);
+    controller.release(decision.route, decision.reserved_bps);
   }
   EXPECT_NEAR(via_short / static_cast<double>(trials), 2.0 / 3.0, 0.04);
 }
@@ -121,9 +119,11 @@ TEST(MultiPathAdmission, ShorterAlternativesWeighHeavier) {
 TEST(MultiPathAdmission, Validation) {
   Fixture f;
   auto controller = f.controller(2);
-  EXPECT_THROW(controller.admit(0.0, f.rng), std::invalid_argument);
-  MultiPathDecision rejected;
-  EXPECT_THROW(controller.release(rejected, 64'000.0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(controller.admit(0.0, {0, 0.0}, f.rng)),
+               std::invalid_argument);
+  const AdmissionDecision admitted = controller.admit(0.0, {0, 64'000.0}, f.rng);
+  ASSERT_TRUE(admitted.admitted);
+  EXPECT_THROW(controller.release(admitted.route, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
+#include "src/core/admission.h"
 #include "src/net/topologies.h"
 
 namespace anyqos::core {
@@ -219,6 +221,37 @@ TEST(DistanceBandwidth, AllInfeasibleMaskedFallsBackToUniformOverUntried) {
   const auto idx = selector.select(none_tried(), f.rng);
   ASSERT_TRUE(idx.has_value());
   EXPECT_LT(*idx, 3u);
+}
+
+TEST(DistanceBandwidth, ColocatedMemberTakesAllWeightUntilTried) {
+  // Line 0-1-2-3, source 0 is itself a member: its route has no links, so
+  // B = +inf and eq. (12)'s limit gives it all the weight.
+  const net::Topology topo = net::topologies::line(4);
+  const AnycastGroup group("g", {0, 2, 3});
+  const net::RouteTable routes(topo, {0, 2, 3});
+  net::BandwidthLedger ledger(topo, 0.2);
+  signaling::MessageCounter counter;
+  signaling::ProbeService probe(ledger, counter);
+  DistanceBandwidthSelector selector(0, routes, probe, false, 64'000.0);
+  des::RandomStream rng(7);
+  EXPECT_EQ(selector.weights(), (std::vector<double>{1.0, 0.0, 0.0}));
+  // Once it is tried, the others keep eq. (12): (1/2) / (1/2 + 1/3) = 0.6.
+  std::array<int, 3> counts{};
+  for (int i = 0; i < 6'000; ++i) {
+    ++counts[*selector.select(std::array<bool, 3>{true, false, false}, rng)];
+  }
+  EXPECT_EQ(counts[0], 0);
+  EXPECT_NEAR(counts[1] / 6'000.0, 0.6, 0.03);
+  // The DAC loop admits at the source's own router, over zero links.
+  signaling::ReservationProtocol rsvp(ledger, counter);
+  AdmissionController controller(0, group, routes, rsvp,
+                                 make_selector(SelectionAlgorithm::kDistanceBandwidth,
+                                               {0, &group, &routes, &probe}),
+                                 std::make_unique<CounterRetrialPolicy>(2));
+  const AdmissionDecision decision = controller.admit({0, 64'000.0}, rng);
+  ASSERT_TRUE(decision.admitted);
+  EXPECT_EQ(*decision.destination_index, 0u);
+  EXPECT_TRUE(decision.route.empty());
 }
 
 TEST(ShortestPathPolicy, AlwaysNearestFirst) {

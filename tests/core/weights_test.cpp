@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -96,6 +97,8 @@ TEST(WeightVector, MismatchedLengthsRejected) {
   EXPECT_THROW(bandwidth_distance_weights(bandwidths, distances), std::invalid_argument);
   std::array<double, 3> negative = {1.0, -2.0, 1.0};
   EXPECT_THROW(bandwidth_distance_weights(negative, distances), std::invalid_argument);
+  std::array<double, 3> nan = {1.0, std::numeric_limits<double>::quiet_NaN(), 1.0};
+  EXPECT_THROW(bandwidth_distance_weights(nan, distances), std::invalid_argument);
 }
 
 TEST(WeightVector, NormalizedScalesArbitraryInput) {

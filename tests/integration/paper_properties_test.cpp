@@ -14,22 +14,12 @@ namespace {
 
 SimulationResult run_system(const ExperimentModel& model, double lambda,
                             core::SelectionAlgorithm algorithm, std::size_t r,
-                            bool use_gdi = false) {
+                            bool use_gdi = false, PolicyFactory policy = nullptr) {
   SimulationConfig config = model.base_config(lambda);
   config.algorithm = algorithm;
   config.max_tries = r;
   config.use_gdi = use_gdi;
-  config.warmup_s = 1'000.0;
-  config.measure_s = 5'000.0;
-  config.seed = 1;
-  Simulation sim(model.topology, config);
-  return sim.run();
-}
-
-SimulationResult run_centralized(const ExperimentModel& model, double lambda) {
-  SimulationConfig config = model.base_config(lambda);
-  config.use_centralized = true;
-  config.controller_node = 8;
+  config.policy = std::move(policy);
   config.warmup_s = 1'000.0;
   config.measure_s = 5'000.0;
   config.seed = 1;
@@ -158,7 +148,9 @@ TEST_F(PaperProperties, CentralizedSitsBetweenDacAndGdi) {
   // Section 1's alternative, measured: the agency's global (fixed-route)
   // view upper-bounds every DAC system; GDI's free path choice bounds it.
   const double lambda = 35.0;
-  const SimulationResult ctrl = run_centralized(model_, lambda);
+  const SimulationResult ctrl =
+      run_system(model_, lambda, core::SelectionAlgorithm::kEvenDistribution, 2, false,
+                 centralized_policy(8, 1.0e6));
   EXPECT_EQ(ctrl.system_label, "CTRL@8");
   const double wdb =
       run_system(model_, lambda, core::SelectionAlgorithm::kDistanceBandwidth, 2)
@@ -178,16 +170,14 @@ TEST_F(PaperProperties, SlowCentralAgencyAccumulatesDecisionDelay) {
   // request stream drowns the agency — admission still works (decisions are
   // just late) but the decision latency explodes relative to a fast agency.
   SimulationConfig config = model_.base_config(20.0);
-  config.use_centralized = true;
-  config.controller_node = 8;
-  config.controller_rate = 10.0;  // half the offered request rate
+  config.policy = centralized_policy(8, 10.0);  // half the offered request rate
   config.warmup_s = 500.0;
   config.measure_s = 2'000.0;
   Simulation slow(model_.topology, config);
   const SimulationResult slow_result = slow.run();
   EXPECT_GT(slow_result.average_decision_delay_s, 10.0);  // unbounded queue growth
 
-  config.controller_rate = 1.0e6;
+  config.policy = centralized_policy(8, 1.0e6);
   Simulation fast(model_.topology, config);
   const SimulationResult fast_result = fast.run();
   EXPECT_LT(fast_result.average_decision_delay_s, 1e-3);

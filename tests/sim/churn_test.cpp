@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/net/topologies.h"
+#include "src/sim/experiment.h"
 #include "src/sim/simulation.h"
 
 namespace anyqos::sim {
@@ -209,7 +210,7 @@ TEST(ChurnedSimulation, ChurnAndResilienceAreDacOnly) {
 
   config = churn_config();
   config.resilience = signaling::ResilienceOptions{};
-  config.use_centralized = true;
+  config.policy = centralized_policy(0, 1.0e6);
   EXPECT_THROW(Simulation(topo, config), std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/timeline.h"
 #include "src/sim/churn.h"
+#include "src/sim/experiment.h"
 #include "src/sim/faults.h"
 #include "src/sim/simulation.h"
 
@@ -192,7 +193,7 @@ TEST(MultiGroup, Validation) {
   config.use_gdi = true;
   expect_rejected(topo, config, "one group");
   config = base;
-  config.use_centralized = true;
+  config.policy = centralized_policy(0, 1.0e6);
   expect_rejected(topo, config, "one group");
   config = base;
   config.churn.push_back(single_churn(0, 300.0, 400.0));

@@ -29,6 +29,13 @@ FAULT_ARGS = BASE_ARGS + [
     "--reconverge-delay=0.5", "--path-repair",
 ]
 
+# GDI runs through Simulation's admission-policy seam. Churn is DAC-only,
+# so this scenario keeps the link faults and drops it.
+GDI_ARGS = [
+    "--gdi", "--lambda=25", "--warmup=100", "--measure=600", "--seed=11",
+    "--fault-rate=0.0003", "--timeline-interval=50",
+]
+
 # Each scenario is double-run independently. "node-faults" layers the
 # failure-domain plane (router crashes, delayed reconvergence, path repair)
 # on top of the link-fault + churn mix: repairs re-signal through the same
@@ -36,11 +43,13 @@ FAULT_ARGS = BASE_ARGS + [
 # same run with the kernel introspection sink attached: the kernel-stats
 # artifact itself must double-run byte-identical, and — the attach-gating
 # contract — attaching the sink must not move a single byte of the trace
-# relative to the unattached "node-faults" run.
+# relative to the unattached "node-faults" run. "gdi" double-runs the one
+# non-DAC admission procedure a CLI reaches.
 SCENARIOS = [
     ("base", BASE_ARGS, False),
     ("node-faults", FAULT_ARGS, False),
     ("kernel-stats", FAULT_ARGS, True),
+    ("gdi", GDI_ARGS, False),
 ]
 
 
