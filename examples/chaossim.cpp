@@ -24,8 +24,9 @@
 //
 // Every cell runs with the oracle's flight recorder: when a link fault,
 // member churn, or audit finding fires, the cell's bounded causal snapshot
-// is written to <flight-prefix>-cell<N>.jsonl (cells without a trigger write
-// nothing).
+// is written to <flight-prefix>-cell<N>.jsonl if --flight-prefix is given
+// (cells without a trigger write nothing). Without it, chaossim writes no
+// file it was not asked for.
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -210,8 +211,9 @@ int run(int argc, char** argv) {
                    "write per-cell metrics here (.prom = Prometheus text, else JSONL); every"
                    " series carries a cell=<n> label");
   flags.add_string("spans-out", "", "write every cell's admission-decision spans here (JSONL)");
-  flags.add_string("flight-prefix", "chaos-flight",
-                   "flight snapshots go to <prefix>-cell<N>.jsonl");
+  flags.add_string("flight-prefix", "",
+                   "write flight snapshots to <prefix>-cell<N>.jsonl (<prefix>-scenario.jsonl"
+                   " with --scenario); empty writes none");
   flags.add_unsigned("flight-depth", 256, "flight-recorder ring capacity, entries");
   flags.add_bool("adaptive", false,
                  "run every cell under the overload governor (adaptive retrial + member"
@@ -232,6 +234,7 @@ int run(int argc, char** argv) {
   }
   audit::ChaosOracleOptions oracle_options;
   oracle_options.flight_depth = flags.get_unsigned("flight-depth");
+  const std::string flight_prefix = flags.get_string("flight-prefix");  // empty: no dumps
 
   // Single-scenario mode: one replayable file, the full oracle stack, one
   // classified verdict. This is how a chaosfuzz-shrunk repro is re-judged
@@ -253,8 +256,8 @@ int run(int argc, char** argv) {
     if (!outcome.audit_log.empty()) {
       std::cout << outcome.audit_log;
     }
-    if (!outcome.flight_dump.empty()) {
-      std::string path = flags.get_string("flight-prefix");
+    if (!outcome.flight_dump.empty() && !flight_prefix.empty()) {
+      std::string path = flight_prefix;
       path += "-scenario.jsonl";
       std::ofstream dump(path);
       util::require(dump.good(), "cannot open flight dump file");
@@ -347,7 +350,7 @@ int run(int argc, char** argv) {
             if (ops_server != nullptr) {
               run->config.ops_server = ops_server.get();
               run->config.ops_labels = {{"cell", cell_label}};
-              if (run->governor != nullptr) {
+              if (run->config.governor.has_value()) {
                 run->config.ops_mailbox = &ops_mailbox;
               }
             }
@@ -361,7 +364,7 @@ int run(int argc, char** argv) {
 
           const sim::SimulationResult& result = outcome.result;
           const control::OverloadGovernor* governor =
-              run != nullptr ? run->governor.get() : nullptr;
+              oracle.simulation() != nullptr ? oracle.simulation()->governor() : nullptr;
           const std::size_t pending_repairs =
               oracle.simulation() != nullptr ? oracle.simulation()->pending_repairs() : 0;
           const bool breaker_open = governor != nullptr && governor->open_breakers() > 0;
@@ -399,7 +402,7 @@ int run(int argc, char** argv) {
               << result.failover_attempts << ',' << result.node_outages << ','
               << result.reconvergences << ',' << result.repaired << ','
               << result.unrepairable << ',' << pending_repairs << ','
-              << (governor != nullptr ? 1 : 0) << ','
+              << (scenario.governor.has_value() ? 1 : 0) << ','
               << (governor != nullptr ? governor->effective_max_tries() : scenario.max_tries)
               << ','
               << (governor != nullptr ? governor->stats().breaker_trips : 0) << ','
@@ -416,8 +419,8 @@ int run(int argc, char** argv) {
             sim::export_metrics(*oracle.simulation(), run->config, result, *registry,
                                 {{"cell", cell_label}});
           }
-          if (!outcome.flight_dump.empty()) {
-            flight_files.push_back(cell_path(flags.get_string("flight-prefix"), cell.index));
+          if (!outcome.flight_dump.empty() && !flight_prefix.empty()) {
+            flight_files.push_back(cell_path(flight_prefix, cell.index));
             std::ofstream out = open_output(flight_files.back());
             out << outcome.flight_dump;
           }

@@ -218,8 +218,9 @@ int run(int argc, char** argv) {
   const std::string scenario_path = flags.get_string("scenario");
   util::require(scenario_path.empty() || flags.get_string("ops-replay").empty(),
                 "--ops-replay conflicts with --scenario (the scenario carries its own ops)");
-  const std::unique_ptr<sim::ScenarioRun> run = sim::make_scenario_run(
-      scenario_path.empty() ? scenario_from_flags(flags) : sim::load_scenario_file(scenario_path));
+  const sim::Scenario scenario =
+      scenario_path.empty() ? scenario_from_flags(flags) : sim::load_scenario_file(scenario_path);
+  const std::unique_ptr<sim::ScenarioRun> run = sim::make_scenario_run(scenario);
   const net::Topology& topology = run->topology;
   sim::SimulationConfig& config = run->config;
   config.use_gdi = flags.get_bool("gdi");
@@ -366,9 +367,9 @@ int run(int argc, char** argv) {
               << result.failover_admitted << "/" << result.failover_attempts
               << " re-admitted\n";
   }
-  if (run->reconvergence != nullptr) {
+  if (scenario.reconvergence.has_value()) {
     std::cout << "failure plane     " << result.node_outages << " node outages, "
-              << result.reconvergences << " reconvergences (" << run->reconvergence->name()
+              << result.reconvergences << " reconvergences (" << scenario.reconvergence->policy
               << " policy)\n";
     if (config.path_repair) {
       std::cout << "path repair       " << result.repaired << " repaired, "
@@ -384,7 +385,7 @@ int run(int argc, char** argv) {
               << util::format_fixed(result.resilience.orphaned_bandwidth_reclaimed_bps / 1e6, 2)
               << " Mbit/s)\n";
   }
-  if (const control::OverloadGovernor* governor = run->governor.get(); governor != nullptr) {
+  if (const control::OverloadGovernor* governor = simulation.governor(); governor != nullptr) {
     const control::GovernorStats& gov = governor->stats();
     std::cout << "overload governor R " << governor->effective_max_tries() << "/"
               << governor->max_tries_ceiling() << " effective/ceiling, " << gov.windows

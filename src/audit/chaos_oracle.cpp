@@ -149,10 +149,11 @@ void ChaosOracle::judge(ChaosOracleOutcome& outcome) const {
                      " != message counter " + std::to_string(outcome.result.messages.total());
     return;
   }
-  if (run_->governor != nullptr && run_->governor->open_breakers() > 0) {
+  if (const control::OverloadGovernor* governor = simulation.governor();
+      governor != nullptr && governor->open_breakers() > 0) {
     outcome.violation_class = "breaker-open";
-    outcome.detail = std::to_string(run_->governor->open_breakers()) +
-                     " breakers still Open after the drain";
+    outcome.detail =
+        std::to_string(governor->open_breakers()) + " breakers still Open after the drain";
   }
 }
 

@@ -1,14 +1,11 @@
 #include "src/control/adaptive_retrial.h"
 
 #include "src/control/governor.h"
-#include "src/util/require.h"
 
 namespace anyqos::control {
 
 AdaptiveRetrialPolicy::AdaptiveRetrialPolicy(const OverloadGovernor& governor)
-    : governor_(&governor) {
-  util::require(governor.bound(), "bind() the governor before building its retrial policy");
-}
+    : governor_(&governor) {}
 
 bool AdaptiveRetrialPolicy::keep_going(std::size_t attempts_made) const {
   return attempts_made < governor_->effective_max_tries();

@@ -22,7 +22,7 @@ class OverloadGovernor;
 /// shares the same governor, so the bound adapts system-wide.
 class AdaptiveRetrialPolicy final : public core::RetrialPolicy {
  public:
-  /// `governor` must be bound already and outlive the policy.
+  /// `governor` must outlive the policy.
   explicit AdaptiveRetrialPolicy(const OverloadGovernor& governor);
 
   [[nodiscard]] bool keep_going(std::size_t attempts_made) const override;

@@ -7,7 +7,13 @@
 
 namespace anyqos::control {
 
-OverloadGovernor::OverloadGovernor(GovernorOptions options) : options_(options) {
+OverloadGovernor::OverloadGovernor(std::size_t group_size, std::size_t max_tries,
+                                   GovernorOptions options)
+    : options_(options),
+      static_tries_(max_tries),
+      max_tries_(max_tries),
+      floor_tries_(std::min(options.min_tries, max_tries)),
+      effective_tries_(max_tries) {  // start wide open; the loop tightens from evidence
   util::require(options.window_s > 0.0, "governor window must be positive");
   util::require(options.min_tries >= 1, "adaptive retrial floor must be at least 1");
   util::require(options.hot_rejection_rate > 0.0 && options.hot_rejection_rate <= 1.0,
@@ -20,17 +26,8 @@ OverloadGovernor::OverloadGovernor(GovernorOptions options) : options_(options) 
   util::require(options.shed_budget_msgs_per_s >= 0.0,
                 "signaling budget must be non-negative");
   util::require(options.shed_burst_msgs >= 0.0, "signaling burst must be non-negative");
-}
-
-void OverloadGovernor::bind(std::size_t group_size, std::size_t max_tries) {
-  util::require(!bound_, "governor already bound; construct a fresh one per run");
   util::require(group_size >= 1, "governor needs a non-empty group");
   util::require(max_tries >= 1, "retry ceiling R must be at least 1");
-  bound_ = true;
-  bind_tries_ = max_tries;
-  max_tries_ = max_tries;
-  floor_tries_ = std::min(options_.min_tries, max_tries);
-  effective_tries_ = max_tries;  // start wide open; the loop tightens from evidence
   breakers_.assign(group_size, CircuitBreaker(options_.breaker));
   breaker_generation_.assign(group_size, 0);
   rebuild_shed_bucket();
@@ -48,7 +45,6 @@ void OverloadGovernor::rebuild_shed_bucket() {
 }
 
 void OverloadGovernor::attach(des::Simulator& simulator, std::function<bool()> stop_rearming) {
-  util::require(bound_, "bind() the governor before attaching it");
   util::require(simulator_ == nullptr, "governor already attached");
   simulator_ = &simulator;
   cat_window_ = simulator.category("control.window");
@@ -67,7 +63,6 @@ void OverloadGovernor::schedule_window() {
 }
 
 void OverloadGovernor::advance_window() {
-  util::require(bound_, "bind() the governor before driving windows");
   ++stats_.windows;
   if (options_.adaptive_retrial && window_offered_ > 0) {
     const double rejection =
@@ -92,13 +87,12 @@ void OverloadGovernor::advance_window() {
 }
 
 double OverloadGovernor::apply_directive(const ControlDirective& directive) {
-  util::require(bound_, "bind() the governor before applying directives");
   const std::optional<std::string> error = validate_directive(directive.knob, directive.value);
   util::require(!error.has_value(), "invalid control directive: " + error.value_or(""));
   switch (directive.knob) {
     case Knob::kRetrialCeiling: {
       const auto requested = static_cast<std::size_t>(directive.value);
-      max_tries_ = std::clamp<std::size_t>(requested, 1, bind_tries_);
+      max_tries_ = std::clamp<std::size_t>(requested, 1, static_tries_);
       floor_tries_ = std::min(floor_tries_, max_tries_);
       options_.min_tries = floor_tries_;
       effective_tries_ = std::clamp(effective_tries_, floor_tries_, max_tries_);

@@ -37,10 +37,11 @@
 //      Shed requests cost zero messages and are counted separately from
 //      capacity rejections (SimulationResult::shed, outcome="shed").
 //
-// Wiring mirrors the Timeline/FlightRecorder pattern: sim::Simulation
-// takes a nullable config pointer, bind()s the group size and retry
-// ceiling at construction, and attach()es the window timer at run(). A
-// null governor costs one pointer check per use and changes no artifact.
+// Wiring: SimulationConfig::governor holds the options; sim::Simulation
+// builds the governor with the group size and retry ceiling R in its
+// constructor, attach()es the window timer at run(), and exposes it
+// read-only as Simulation::governor(). A run without one costs one pointer
+// check per use and changes no artifact.
 //
 // Determinism contract: every input is model state observed in virtual
 // time and every timer runs on the DES kernel, so two runs with the same
@@ -109,19 +110,17 @@ struct GovernorStats {
 /// The feedback control plane; see the file comment for the contract.
 class OverloadGovernor final : public core::MemberGate {
  public:
-  explicit OverloadGovernor(GovernorOptions options = {});
+  /// Fixes the group size (one breaker per member) and the static retry
+  /// ceiling R; both must be at least 1.
+  OverloadGovernor(std::size_t group_size, std::size_t max_tries, GovernorOptions options = {});
 
-  /// Phase 1 of wiring (Simulation constructor): fixes the group size (one
-  /// breaker per member) and the static retry ceiling R. Must be called
-  /// exactly once, before any other input.
-  void bind(std::size_t group_size, std::size_t max_tries);
-
-  /// Phase 2 (Simulation::run()): installs the self-rescheduling window
-  /// timer on the kernel. `stop_rearming` — when supplied — is consulted
-  /// after each window; once true no further window event is parked, so a
-  /// drain-to-quiescence run can empty its calendar. Breaker cooldown
-  /// timers are one-shot and always fire: a drained run ends with every
-  /// tripped breaker out of the Open state. `simulator` must outlive this.
+  /// Installs the self-rescheduling window timer on the kernel (once;
+  /// Simulation::run() calls it). `stop_rearming` — when supplied — is
+  /// consulted after each window; once true no further window event is
+  /// parked, so a drain-to-quiescence run can empty its calendar. Breaker
+  /// cooldown timers are one-shot and always fire: a drained run ends with
+  /// every tripped breaker out of the Open state. `simulator` must outlive
+  /// this.
   void attach(des::Simulator& simulator, std::function<bool()> stop_rearming = {});
 
   // --- Load shedding (consult before the reservation walk) ---
@@ -167,7 +166,7 @@ class OverloadGovernor final : public core::MemberGate {
   /// Applies one pre-validated directive (validate_directive must have
   /// passed — invalid values throw here) and returns the value actually
   /// applied after clamping:
-  ///   retrial-ceiling    clamped to [1, R-at-bind] — the bind-time ceiling
+  ///   retrial-ceiling    clamped to [1, R] — the construction-time R
   ///                      is the hard envelope the auditor and span budgets
   ///                      were sized against, so an operator can tighten or
   ///                      re-relax but never exceed it. The floor and the
@@ -187,7 +186,6 @@ class OverloadGovernor final : public core::MemberGate {
   double apply_directive(const ControlDirective& directive);
 
   // --- Views ---
-  [[nodiscard]] bool bound() const { return bound_; }
   /// The floor the AIMD decrease clamps to, min(options.min_tries, R);
   /// retrial-floor directives move it.
   [[nodiscard]] std::size_t min_tries_floor() const { return floor_tries_; }
@@ -211,11 +209,10 @@ class OverloadGovernor final : public core::MemberGate {
   des::EventCategory cat_window_;   // "control.window" kernel tag
   des::EventCategory cat_breaker_;  // "control.breaker" kernel tag
   std::function<bool()> stop_rearming_;
-  bool bound_ = false;
-  std::size_t bind_tries_ = 1;       ///< R at bind: the hard retry envelope
-  std::size_t max_tries_ = 1;        ///< current ceiling, <= bind_tries_
-  std::size_t floor_tries_ = 1;      ///< min(options.min_tries, R)
-  std::size_t effective_tries_ = 1;  ///< current adaptive bound
+  std::size_t static_tries_;     ///< R at construction: the hard retry envelope
+  std::size_t max_tries_;        ///< current ceiling, <= static_tries_
+  std::size_t floor_tries_;      ///< min(options.min_tries, R)
+  std::size_t effective_tries_;  ///< current adaptive bound
   // Window accumulators (reset by advance_window).
   std::uint64_t window_offered_ = 0;
   std::uint64_t window_rejected_ = 0;

@@ -8,7 +8,8 @@
 // computed routes coincide with the centrally computed ones — asserted by
 // tests. Link failures bump the LSA sequence number and re-flood, so
 // reconvergence takes O(diameter) rounds instead of distance-vector's
-// slower count-down.
+// slower count-down; the protocol is the test oracle for
+// net::flooding_delay_s.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,8 @@
 #include "src/net/routing.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <set>
-#include <tuple>
 
 #include "src/util/require.h"
 
@@ -114,59 +112,6 @@ std::optional<Path> shortest_feasible_path_to_any(const Topology& topology,
     return std::nullopt;
   }
   return unwind(topology, source, *best, parent);
-}
-
-std::optional<Path> widest_path(const Topology& topology, const BandwidthLedger& ledger,
-                                NodeId source, NodeId destination) {
-  const std::size_t n = topology.router_count();
-  util::require(source < n && destination < n, "endpoint out of range");
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> width(n, -1.0);
-  std::vector<std::size_t> hops(n, kUnreachable);
-  std::vector<LinkId> parent(n, kInvalidLink);
-  // Max-heap on (width, -hops); deterministic tie-break on node id.
-  using State = std::tuple<double, std::size_t, NodeId>;  // (width, hops, node)
-  const auto better = [](const State& a, const State& b) {
-    if (std::get<0>(a) != std::get<0>(b)) {
-      return std::get<0>(a) < std::get<0>(b);  // larger width first
-    }
-    if (std::get<1>(a) != std::get<1>(b)) {
-      return std::get<1>(a) > std::get<1>(b);  // fewer hops first
-    }
-    return std::get<2>(a) > std::get<2>(b);
-  };
-  std::priority_queue<State, std::vector<State>, decltype(better)> heap(better);
-  width[source] = kInf;
-  hops[source] = 0;
-  heap.push({kInf, 0, source});
-  while (!heap.empty()) {
-    const auto [w, h, u] = heap.top();
-    heap.pop();
-    if (w < width[u] || (w == width[u] && h > hops[u])) {
-      continue;  // stale entry
-    }
-    for (const LinkId id : topology.graph().out_arcs(u)) {
-      const NodeId v = topology.link(id).to;
-      const double cand_width = std::min(w, ledger.available(id));
-      const std::size_t cand_hops = h + 1;
-      if (cand_width > width[v] || (cand_width == width[v] && cand_hops < hops[v])) {
-        width[v] = cand_width;
-        hops[v] = cand_hops;
-        parent[v] = id;
-        heap.push({cand_width, cand_hops, v});
-      }
-    }
-  }
-  if (width[destination] < 0.0) {
-    return std::nullopt;
-  }
-  if (source == destination) {
-    Path path;
-    path.source = source;
-    path.destination = destination;
-    return path;
-  }
-  return unwind(topology, source, destination, parent);
 }
 
 std::vector<Path> k_shortest_paths(const Topology& topology, NodeId source, NodeId destination,

@@ -41,11 +41,6 @@ std::optional<Path> shortest_feasible_path_to_any(const Topology& topology,
                                                   std::span<const NodeId> destinations,
                                                   Bandwidth bandwidth);
 
-/// Maximum-bottleneck ("widest") path via a modified Dijkstra; among paths of
-/// equal bottleneck prefers fewer hops. Returns nullopt when disconnected.
-std::optional<Path> widest_path(const Topology& topology, const BandwidthLedger& ledger,
-                                NodeId source, NodeId destination);
-
 /// Yen's algorithm: up to `k` loopless shortest paths in non-decreasing hop
 /// order. Deterministic. Used by route-set ablations.
 std::vector<Path> k_shortest_paths(const Topology& topology, NodeId source, NodeId destination,

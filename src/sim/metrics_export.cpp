@@ -65,7 +65,8 @@ void export_metrics(const Simulation& simulation, const SimulationConfig& config
   failover_counter("admitted", result.failover_admitted);
   failover_counter("rejected", result.failover_attempts - result.failover_admitted);
 
-  if (config.path_repair || config.reconvergence != nullptr || !config.node_faults.empty()) {
+  if (config.path_repair || config.reconvergence_delay_s.has_value() ||
+      !config.node_faults.empty()) {
     // Failure-domain families appear only when the plane is engaged, keeping
     // the export byte-identical for runs without it (same gate as `shed`).
     auto repair_counter = [&](const char* outcome, std::uint64_t value) {

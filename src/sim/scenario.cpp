@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/core/selector.h"
+#include "src/net/reconvergence.h"
 #include "src/net/topologies.h"
 #include "src/net/topology_io.h"
 #include "src/util/require.h"
@@ -608,22 +609,21 @@ std::unique_ptr<ScenarioRun> make_scenario_run(const Scenario& scenario) {
   if (scenario.reconvergence.has_value()) {
     const ScenarioReconvergence& r = *scenario.reconvergence;
     if (r.policy == "instant") {
-      run->reconvergence = std::make_unique<net::InstantReconvergence>();
+      config.reconvergence_delay_s = 0.0;
     } else if (r.policy == "fixed") {
-      run->reconvergence = std::make_unique<net::FixedReconvergence>(r.param_s);
+      config.reconvergence_delay_s = r.param_s;
     } else if (r.policy == "flooding") {
-      run->reconvergence = std::make_unique<net::FloodingReconvergence>(r.param_s);
+      config.reconvergence_delay_s = net::flooding_delay_s(topology, r.param_s);
     } else {
       util::require(false, "unknown reconvergence policy '" + r.policy + "'");
     }
-    config.reconvergence = run->reconvergence.get();
   }
-  util::require(!scenario.path_repair || run->reconvergence != nullptr,
+  util::require(!scenario.path_repair || scenario.reconvergence.has_value(),
                 "scenario: path_repair requires a reconvergence block");
 
   if (scenario.governor.has_value()) {
     const ScenarioGovernor& g = *scenario.governor;
-    control::GovernorOptions options;
+    control::GovernorOptions& options = config.governor.emplace();
     options.adaptive_retrial = g.adaptive_retrial;
     options.member_breakers = g.member_breakers;
     options.window_s = g.window_s;
@@ -632,10 +632,8 @@ std::unique_ptr<ScenarioRun> make_scenario_run(const Scenario& scenario) {
     options.breaker.cooldown_s = g.breaker_cooldown_s;
     options.shed_budget_msgs_per_s = g.shed_budget_msgs_per_s;
     options.shed_burst_msgs = g.shed_burst_msgs;
-    run->governor = std::make_unique<control::OverloadGovernor>(options);
-    config.governor = run->governor.get();
   }
-  util::require(scenario.ops.empty() || run->governor != nullptr,
+  util::require(scenario.ops.empty() || scenario.governor.has_value(),
                 "scenario: ops directives require a governor block");
   config.ops_replay = scenario.ops;
 

@@ -27,8 +27,6 @@
 #include <vector>
 
 #include "src/control/directive.h"
-#include "src/control/governor.h"
-#include "src/net/reconvergence.h"
 #include "src/net/topology.h"
 #include "src/sim/faults.h"
 #include "src/sim/simulation.h"
@@ -54,7 +52,8 @@ struct ScenarioResilience {
 };
 
 /// Routing reconvergence model: "instant", "fixed" (param_s = delay), or
-/// "flooding" (param_s = per-round delay).
+/// "flooding" (param_s = per-round delay, priced by net::flooding_delay_s).
+/// make_scenario_run lowers it to SimulationConfig::reconvergence_delay_s.
 struct ScenarioReconvergence {
   std::string policy = "instant";
   double param_s = 0.0;
@@ -166,26 +165,19 @@ Scenario load_scenario_file(const std::string& path);
 /// are zero. The expanded scenario runs identically to the original.
 void materialize_random_axes(Scenario& scenario, const net::Topology& topology);
 
-/// Everything needed to run a scenario. The config's reconvergence/governor
-/// pointers alias the owned objects below, and `Simulation` keeps a
-/// reference to `topology` — construct the Simulation only after this
-/// object has its final address, and keep it alive through run().
+/// Everything needed to run a scenario. `Simulation` keeps a reference to
+/// `topology`, so keep this object alive and in place through run().
 struct ScenarioRun {
   net::Topology topology;
   SimulationConfig config;
-  std::unique_ptr<net::ReconvergencePolicy> reconvergence;
-  std::unique_ptr<control::OverloadGovernor> governor;
-
-  ScenarioRun() = default;
-  ScenarioRun(ScenarioRun&&) = delete;  // config holds pointers into *this
-  ScenarioRun& operator=(ScenarioRun&&) = delete;
 };
 
 /// Lowers a scenario onto the simulation API: builds the topology, draws
-/// the random axes, expands regional outages, and wires the optional
-/// planes. Validates cross-field constraints (group/sources in range,
-/// path_repair requires reconvergence, ops require governor). The result
-/// is heap-allocated because SimulationConfig points into it.
+/// the random axes, expands regional outages, prices the reconvergence
+/// delay, and sets the optional planes. Validates cross-field constraints
+/// (group/sources in range, path_repair requires reconvergence, ops require
+/// governor). The result is heap-allocated so that its topology never
+/// moves under a Simulation.
 std::unique_ptr<ScenarioRun> make_scenario_run(const Scenario& scenario);
 
 }  // namespace anyqos::sim

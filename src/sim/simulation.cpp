@@ -101,17 +101,19 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
   util::require(is_dac || !config_.resilience.has_value(),
                 "resilient signaling applies to DAC runs only");
   util::require(is_dac || config_.churn.empty(), "member churn applies to DAC runs only");
-  util::require(is_dac || config_.governor == nullptr,
+  util::require(is_dac || !config_.governor.has_value(),
                 "the overload governor applies to DAC runs only");
   util::require(is_dac || config_.node_faults.empty(), "node faults apply to DAC runs only");
-  util::require(is_dac || config_.reconvergence == nullptr,
+  util::require(is_dac || !config_.reconvergence_delay_s.has_value(),
                 "routing reconvergence applies to DAC runs only");
-  util::require(!config_.path_repair || config_.reconvergence != nullptr,
+  util::require(config_.reconvergence_delay_s.value_or(0.0) >= 0.0,
+                "reconvergence delay must be non-negative");
+  util::require(!config_.path_repair || config_.reconvergence_delay_s.has_value(),
                 "path repair re-signals over post-reconvergence routes; set "
-                "config.reconvergence");
+                "config.reconvergence_delay_s");
   util::require(config_.ops_interval_s > 0.0, "ops poll interval must be positive");
   util::require((config_.ops_mailbox == nullptr && config_.ops_replay.empty()) ||
-                    config_.governor != nullptr,
+                    config_.governor.has_value(),
                 "ops control (mailbox or replay) steers the governor; set config.governor");
   util::require(config_.ops_mailbox == nullptr || config_.ops_replay.empty(),
                 "live ops steering and ops replay are mutually exclusive");
@@ -125,10 +127,10 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
     // and ops steering need reconvergence and the governor.
     util::require(is_dac, "GDI and admission policies run one group only; extra groups need DAC");
     util::require(config_.churn.empty(), "member churn cannot run with extra groups");
-    util::require(config_.governor == nullptr,
+    util::require(!config_.governor.has_value(),
                   "the overload governor cannot run with extra groups");
     util::require(config_.node_faults.empty(), "node faults cannot run with extra groups");
-    util::require(config_.reconvergence == nullptr,
+    util::require(!config_.reconvergence_delay_s.has_value(),
                   "routing reconvergence cannot run with extra groups");
   }
   // Streams of extra group i derive under "group<i>/"; the primary keeps the
@@ -168,11 +170,6 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
   if (config_.path_repair) {
     repair_ = std::make_unique<signaling::PathRepair>(*rsvp_);
   }
-  if (config_.reconvergence != nullptr) {
-    // The policy's delay depends only on the full topology (flooding rounds
-    // are bounded by the intact diameter), so price it once up front.
-    reconverge_delay_s_ = config_.reconvergence->delay_s(topology);
-  }
   if (config_.tracer != nullptr) {
     config_.tracer->set_clock([this] { return simulator_.now(); });
   }
@@ -180,9 +177,10 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
   // keep the nullptr test a member load rather than a config indirection.
   timeline_ = config_.timeline;
   flight_ = config_.flight_recorder;
-  governor_ = config_.governor;
-  if (governor_ != nullptr) {
-    governor_->bind(primary().group.size(), config_.max_tries);
+  if (config_.governor.has_value()) {
+    owned_governor_ = std::make_unique<control::OverloadGovernor>(
+        primary().group.size(), config_.max_tries, *config_.governor);
+    governor_ = owned_governor_.get();
   }
   if (resilient_ != nullptr && flight_ != nullptr) {
     // Satellite triggers from the recovery machinery: a retransmit-budget
@@ -377,7 +375,7 @@ void Simulation::wire_timeline() {
       return static_cast<double>(simulator_.tombstones_popped());
     });
   }
-  if (!config_.node_faults.empty() || config_.reconvergence != nullptr ||
+  if (!config_.node_faults.empty() || config_.reconvergence_delay_s.has_value() ||
       config_.path_repair) {
     // Failure-domain columns appear only when the plane is engaged, keeping
     // unattached timelines byte-identical (same contract as the governor's).
@@ -858,29 +856,11 @@ void Simulation::apply_node_down(const NodeFault& fault) {
   // re-admission walks the (stale) routes against the true post-crash
   // network and fails realistically with PATH_ERR where they cross it.
   // Node faults run single-group: every member and flow is the primary's.
-  GroupState& state = primary();
+  const core::AnycastGroup& group = primary().group;
   std::vector<ActiveFlow> displaced;
-  for (std::size_t member = 0; member < state.group.size(); ++member) {
-    if (state.group.member(member) != fault.node || !state.group.is_up(member)) {
-      continue;
-    }
-    state.group.set_member_up(member, false);
-    if (governor_ != nullptr) {
-      // Trip the breaker with the crash: when the router recovers the member
-      // stays masked until the cooldown's half-open probe proves it healthy.
-      governor_->on_member_churn(member);
-    }
-    emit_trace(TraceEventKind::kMemberDown, 0, fault.node, net::kInvalidNode, 0, 0.0);
-    for (const FlowId id : flows_.flows_to_member(member)) {
-      ActiveFlow flow = flows_.take(id);
-      rsvp_->teardown(flow.route, flow.bandwidth_bps);
-      touch_links(flow.route);
-      state.metrics.record_teardown(TeardownCause::kChurn);
-      emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
-                 state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
-      if (config_.failover_readmit && !draining_) {
-        displaced.push_back(std::move(flow));
-      }
+  for (std::size_t member = 0; member < group.size(); ++member) {
+    if (group.member(member) == fault.node && group.is_up(member)) {
+      take_member_down(member, &displaced);
     }
   }
   // Every incident duplex link fails atomically with the crash; transit
@@ -929,7 +909,7 @@ void Simulation::apply_node_up(const NodeFault& fault) {
 }
 
 void Simulation::note_topology_change() {
-  if (config_.reconvergence == nullptr) {
+  if (!config_.reconvergence_delay_s.has_value()) {
     return;  // the paper's static-route model: tables never react
   }
   routes_stale_ = true;
@@ -937,7 +917,7 @@ void Simulation::note_topology_change() {
   // Restart semantics: every change re-arms the full convergence delay, and
   // a superseded timer no-ops — a burst of changes (a node crash failing
   // several links at once) converges once, after its last change.
-  simulator_.schedule_in(reconverge_delay_s_, cat_reconverge_, [this, generation] {
+  simulator_.schedule_in(*config_.reconvergence_delay_s, cat_reconverge_, [this, generation] {
     if (generation != route_generation_) {
       return;
     }
@@ -1021,11 +1001,8 @@ void Simulation::run_repair_pass() {
   record_active_flows();
 }
 
-void Simulation::apply_member_down(std::size_t member) {
-  GroupState& state = primary();  // member churn runs single-group
-  if (!state.group.is_up(member)) {
-    return;  // overlapping schedules: already down
-  }
+void Simulation::take_member_down(std::size_t member, std::vector<ActiveFlow>* deferred) {
+  GroupState& state = primary();  // churn and node faults run single-group
   // Exclude the member from selection *before* tearing flows down so any
   // failover re-admission can only land on the surviving members.
   state.group.set_member_up(member, false);
@@ -1037,7 +1014,7 @@ void Simulation::apply_member_down(std::size_t member) {
   emit_trace(TraceEventKind::kMemberDown, 0, state.group.member(member), net::kInvalidNode, 0,
              0.0);
   for (const FlowId id : flows_.flows_to_member(member)) {
-    const ActiveFlow flow = flows_.take(id);
+    ActiveFlow flow = flows_.take(id);
     // The route's links are all still in service — only the endpoint died —
     // so the normal (possibly lossy) TEAR path applies; a lost TEAR becomes
     // an orphan that soft-state expiry reclaims.
@@ -1046,10 +1023,23 @@ void Simulation::apply_member_down(std::size_t member) {
     state.metrics.record_teardown(TeardownCause::kChurn);
     emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
                state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
-    if (config_.failover_readmit && !draining_) {
+    if (!config_.failover_readmit || draining_) {
+      continue;
+    }
+    if (deferred != nullptr) {
+      deferred->push_back(std::move(flow));
+    } else {
       attempt_failover(flow);
     }
   }
+}
+
+void Simulation::apply_member_down(std::size_t member) {
+  const core::AnycastGroup& group = primary().group;  // member churn runs single-group
+  if (!group.is_up(member)) {
+    return;  // overlapping schedules: already down
+  }
+  take_member_down(member, nullptr);
   record_active_flows();
   if (flight_ != nullptr) {
     // After the teardown/failover loop: the snapshot includes every displaced
@@ -1057,7 +1047,7 @@ void Simulation::apply_member_down(std::size_t member) {
     std::string reason = "member_churn member=";
     reason += std::to_string(member);
     reason += " node=";
-    reason += std::to_string(state.group.member(member));
+    reason += std::to_string(group.member(member));
     flight_->trigger(simulator_.now(), reason);
   }
 }
@@ -1218,31 +1208,27 @@ SimulationResult Simulation::run() {
       timed.emplace(config_.profiler->phase("drain"));
     }
     draining_ = true;
-    if (config_.drain_max_events == 0 && config_.drain_max_sim_s == 0.0) {
-      simulator_.run();
-    } else {
-      // Watchdog-capped drain: bound simulated time and/or dispatched
-      // events so a drain that never quiesces (a bug, by definition, once
-      // arrivals have stopped) surfaces as a diagnosable trip instead of a
-      // hung process. A capped drain that completes is byte-identical to an
-      // unbounded one (run_bounded leaves the clock at the last event).
-      const double cap_time = config_.drain_max_sim_s > 0.0
-                                  ? end_time + config_.drain_max_sim_s
-                                  : std::numeric_limits<double>::infinity();
-      drain_watchdog_.drained_events =
-          simulator_.run_bounded(cap_time, config_.drain_max_events);
-      if (simulator_.pending_events() > 0) {
-        drain_watchdog_.tripped = true;
-        drain_watchdog_.reason = (config_.drain_max_events > 0 &&
-                                  drain_watchdog_.drained_events >= config_.drain_max_events)
-                                     ? "event budget exhausted"
-                                     : "sim-time cap reached";
-        drain_watchdog_.pending_events = simulator_.pending_events();
-        drain_watchdog_.active_flows = flows_.size();
-        drain_watchdog_.sim_time_s = simulator_.now();
-        if (flight_ != nullptr) {
-          flight_->trigger(simulator_.now(), "drain_watchdog " + drain_watchdog_.reason);
-        }
+    // Watchdog caps (0 = none) bound simulated time and/or dispatched events
+    // so a drain that never quiesces (a bug, by definition, once arrivals
+    // have stopped) surfaces as a diagnosable trip instead of a hung
+    // process. Uncapped, this is run() itself: run_bounded(+inf, 0). A
+    // capped drain that completes is byte-identical to an unbounded one
+    // (run_bounded leaves the clock at the last event).
+    const double cap_time = config_.drain_max_sim_s > 0.0
+                                ? end_time + config_.drain_max_sim_s
+                                : std::numeric_limits<double>::infinity();
+    drain_watchdog_.drained_events = simulator_.run_bounded(cap_time, config_.drain_max_events);
+    if (simulator_.pending_events() > 0) {
+      drain_watchdog_.tripped = true;
+      drain_watchdog_.reason = (config_.drain_max_events > 0 &&
+                                drain_watchdog_.drained_events >= config_.drain_max_events)
+                                   ? "event budget exhausted"
+                                   : "sim-time cap reached";
+      drain_watchdog_.pending_events = simulator_.pending_events();
+      drain_watchdog_.active_flows = flows_.size();
+      drain_watchdog_.sim_time_s = simulator_.now();
+      if (flight_ != nullptr) {
+        flight_->trigger(simulator_.now(), "drain_watchdog " + drain_watchdog_.reason);
       }
     }
   }

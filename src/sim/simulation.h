@@ -38,7 +38,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/timeline.h"
-#include "src/net/reconvergence.h"
 #include "src/net/routing.h"
 #include "src/net/topologies.h"
 #include "src/sim/churn.h"
@@ -158,19 +157,21 @@ struct SimulationConfig {
   /// co-located group members down; member churn cannot revive a member
   /// whose router is crashed.
   std::vector<NodeFault> node_faults;
-  /// Routing reconvergence model (must outlive the simulation). When set,
-  /// every duplex up/down transition schedules a route-table recompute
-  /// `delay_s` later (restart semantics: a burst converges once, after its
-  /// last change). During the stale window admission walks the old routes
-  /// and fails realistically with PATH_ERR; members the recompute leaves
-  /// unreachable are masked from selection like down members. Unset keeps
-  /// the paper's static routes forever — unchanged behaviour. DAC runs only.
-  net::ReconvergencePolicy* reconvergence = nullptr;
+  /// Routing reconvergence delay, seconds (non-negative; see
+  /// net/reconvergence.h). When set, every duplex up/down transition
+  /// schedules a route-table recompute this long later (restart semantics: a
+  /// burst converges once, after its last change). During the stale window
+  /// admission walks the old routes and fails realistically with PATH_ERR;
+  /// members the recompute leaves unreachable are masked from selection like
+  /// down members. Unset keeps the paper's static routes forever — unchanged
+  /// behaviour. DAC runs only.
+  std::optional<double> reconvergence_delay_s;
   /// Re-signal flows whose route lost a link instead of dropping them: the
   /// broken flow holds its surviving links (narrowed reservation) until the
   /// next reconvergence, then re-reserves over the fresh route
   /// (make-before-break; break-before-make when nothing survived) or is
-  /// dropped as unrepairable. Requires `reconvergence`. DAC runs only.
+  /// dropped as unrepairable. Requires `reconvergence_delay_s`. DAC runs
+  /// only.
   bool path_repair = false;
   /// After the measurement window, stop offering new flows and run the
   /// calendar dry (departures, orphan reclaims, repairs, recoveries). With
@@ -224,18 +225,17 @@ struct SimulationConfig {
   /// recorder's span_sink(); to dump on invariant violations, wire the
   /// auditor's violation hook to trigger(). Unset costs nothing.
   obs::FlightRecorder* flight_recorder = nullptr;
-  /// Optional overload governor (must outlive the simulation; one governor
-  /// records one run — construct fresh per simulation). DAC runs only. The
-  /// constructor bind()s it (group size, retry ceiling R = max_tries) and
-  /// run() attaches its feedback window to the kernel. Depending on its
-  /// options it then (1) adapts the effective retrial bound from windowed
-  /// rejection/utilization feedback, (2) gates members through per-member
-  /// circuit breakers fed by every reservation outcome and by churn, and
-  /// (3) sheds requests without any reservation walk when its signaling
-  /// budget is exhausted (counted in SimulationResult::shed, not in
-  /// offered). Unset costs one pointer check per use and leaves every
-  /// artifact byte-identical.
-  control::OverloadGovernor* governor = nullptr;
+  /// Overload governor options. DAC runs only. When set, the constructor
+  /// builds the governor (group size, retry ceiling R = max_tries), run()
+  /// attaches its feedback window to the kernel, and Simulation::governor()
+  /// reads it. Depending on its options it then (1) adapts the effective
+  /// retrial bound from windowed rejection/utilization feedback, (2) gates
+  /// members through per-member circuit breakers fed by every reservation
+  /// outcome and by churn, and (3) sheds requests without any reservation
+  /// walk when its signaling budget is exhausted (counted in
+  /// SimulationResult::shed, not in offered). Unset costs one pointer check
+  /// per use and leaves every artifact byte-identical.
+  std::optional<control::GovernorOptions> governor;
   /// Optional kernel telemetry sink (must outlive the simulation; one
   /// collector records one run). run() attaches it to the kernel before the
   /// first event, so it sees every schedule/fire/cancel tagged with the
@@ -255,7 +255,7 @@ struct SimulationConfig {
   /// HTTP listener to publish scrape documents to (scrape-only is fine).
   obs::OpsServer* ops_server = nullptr;
   /// Live control inlet. Directives drain FIFO at each poll and apply via
-  /// governor->apply_directive, so `governor` is required. Mutually
+  /// the governor's apply_directive, so `governor` is required. Mutually
   /// exclusive with ops_replay (a replayed run is serverless by contract).
   control::DirectiveMailbox* ops_mailbox = nullptr;
   /// Applied-directive log (JSONL). Written at application time with the
@@ -325,7 +325,7 @@ struct SimulationResult {
   /// Broken flows dropped because no repair was possible (dead endpoint,
   /// partition, or no capacity on the new route). Also in dropped_by_fault.
   std::uint64_t unrepairable = 0;
-  /// Route-table recomputes committed (0 without a reconvergence policy).
+  /// Route-table recomputes committed (0 without a reconvergence delay).
   std::uint64_t reconvergences = 0;
   /// Router crash transitions applied (overlap-merged).
   std::uint64_t node_outages = 0;
@@ -394,6 +394,10 @@ class Simulation {
   [[nodiscard]] std::uint64_t ops_directives_applied() const {
     return ops_directives_applied_;
   }
+
+  /// The overload governor built from config.governor, or nullptr. Exposed
+  /// so summaries and the chaos oracle can read its state after run().
+  [[nodiscard]] const control::OverloadGovernor* governor() const { return governor_; }
 
   /// The resilient signaling plane, or nullptr for fault-free runs. Exposed
   /// so the chaos oracle can inspect recovery state after a drained run.
@@ -475,11 +479,17 @@ class Simulation {
   bool bring_duplex_up(net::LinkId forward);
   void drop_flows_on_link(net::LinkId link);
   /// Records a duplex up/down transition with the reconvergence plane:
-  /// schedules a route recompute after the policy delay (restart semantics —
-  /// a later change supersedes the pending one). No-op without a policy.
+  /// schedules a route recompute after the reconvergence delay (restart
+  /// semantics — a later change supersedes the pending one). No-op without
+  /// a delay.
   void note_topology_change();
   void reconverge();
   void run_repair_pass();
+  /// Takes an up member of the primary group down: masks it from selection,
+  /// trips its breaker, traces MEMBER_DOWN and tears each of its flows down
+  /// as churn (DROPPED). A flow that failover should re-offer is re-offered
+  /// right after its drop, or appended to `deferred` when that is set.
+  void take_member_down(std::size_t member, std::vector<ActiveFlow>* deferred);
   void apply_member_down(std::size_t member);
   void apply_member_up(std::size_t member);
   void attempt_failover(const ActiveFlow& displaced);
@@ -509,6 +519,9 @@ class Simulation {
   signaling::ResilientReservationProtocol* resilient_ = nullptr;  // rsvp_ downcast or null
   signaling::ProbeService probe_;
   des::RandomStream selection_rng_;
+  /// Built iff config_.governor; declared before groups_, whose controllers
+  /// point at it.
+  std::unique_ptr<control::OverloadGovernor> owned_governor_;
   /// Every group's state, filled completely in the constructor: controllers
   /// and the policy keep references into it.
   std::vector<GroupState> groups_;
@@ -526,14 +539,13 @@ class Simulation {
   std::vector<char> duplex_up_;             // 1 while hold count is zero
   std::vector<std::uint32_t> node_hold_;    // overlapping outages per router
   std::unique_ptr<signaling::PathRepair> repair_;  // non-null iff path_repair
-  double reconverge_delay_s_ = 0.0;
   std::uint64_t route_generation_ = 0;  // bumps per change; stale timers no-op
   bool routes_stale_ = false;
   std::uint64_t reconvergences_ = 0;
   std::uint64_t node_outages_ = 0;
   obs::Timeline* timeline_ = nullptr;         // config_.timeline, hot-path copy
   obs::FlightRecorder* flight_ = nullptr;     // config_.flight_recorder, hot-path copy
-  control::OverloadGovernor* governor_ = nullptr;  // config_.governor, hot-path copy
+  control::OverloadGovernor* governor_ = nullptr;  // owned_governor_, hot-path copy
   // Kernel event categories (interned per instance in the constructor; the
   // tags ride every schedule call and are read only by an attached
   // obs::KernelStats — zero-cost otherwise, DESIGN.md §15).

@@ -133,10 +133,9 @@ TEST(OpsLog, LoadRejectsMalformedAndOutOfOrderEntries) {
 }
 
 TEST(GovernorDirectives, CeilingClampsToBindTimeR) {
-  OverloadGovernor governor;
-  governor.bind(3, 4);
-  // Requests above the bind-time R clamp down: the auditor and span budgets
-  // were sized against R = 4 and stay valid.
+  OverloadGovernor governor(3, 4);
+  // Requests above the construction-time R clamp down: the auditor and
+  // span budgets were sized against R = 4 and stay valid.
   EXPECT_EQ(governor.apply_directive({Knob::kRetrialCeiling, 99.0}), 4.0);
   EXPECT_EQ(governor.max_tries_ceiling(), 4u);
   EXPECT_EQ(governor.apply_directive({Knob::kRetrialCeiling, 2.0}), 2.0);
@@ -147,8 +146,7 @@ TEST(GovernorDirectives, CeilingClampsToBindTimeR) {
 }
 
 TEST(GovernorDirectives, FloorClampsToCurrentCeiling) {
-  OverloadGovernor governor;
-  governor.bind(3, 5);
+  OverloadGovernor governor(3, 5);
   EXPECT_EQ(governor.apply_directive({Knob::kRetrialFloor, 99.0}), 5.0);
   EXPECT_EQ(governor.min_tries_floor(), 5u);
   EXPECT_EQ(governor.effective_max_tries(), 5u);  // raised to the floor
@@ -157,8 +155,7 @@ TEST(GovernorDirectives, FloorClampsToCurrentCeiling) {
 }
 
 TEST(GovernorDirectives, ShedBudgetEngagesAndDisengagesTheBucket) {
-  OverloadGovernor governor;  // defaults: shedding off
-  governor.bind(2, 2);
+  OverloadGovernor governor(2, 2);  // defaults: shedding off
   EXPECT_FALSE(governor.shedding());
   EXPECT_EQ(governor.apply_directive({Knob::kShedBudget, 5.0}), 5.0);
   ASSERT_TRUE(governor.shedding());
@@ -171,8 +168,7 @@ TEST(GovernorDirectives, ShedBudgetEngagesAndDisengagesTheBucket) {
 }
 
 TEST(GovernorDirectives, BreakerKnobsPropagate) {
-  OverloadGovernor governor;
-  governor.bind(2, 2);
+  OverloadGovernor governor(2, 2);
   EXPECT_EQ(governor.apply_directive({Knob::kBreakerThreshold, 2.0}), 2.0);
   EXPECT_EQ(governor.options().breaker.failure_threshold, 2u);
   // Two consecutive failures now trip a member (default threshold is 5).
@@ -187,8 +183,7 @@ TEST(GovernorDirectives, BreakerKnobsPropagate) {
 }
 
 TEST(GovernorDirectives, InvalidDirectiveThrows) {
-  OverloadGovernor governor;
-  governor.bind(2, 2);
+  OverloadGovernor governor(2, 2);
   EXPECT_THROW(governor.apply_directive({Knob::kRetrialCeiling, 0.0}), std::invalid_argument);
   EXPECT_THROW(governor.apply_directive({Knob::kShedBudget, -1.0}), std::invalid_argument);
 }

@@ -40,10 +40,10 @@ void offer(OverloadGovernor& governor, std::uint64_t offered, std::uint64_t reje
 }
 
 TEST(Governor, BindSetsCeilingFloorAndStartsWideOpen) {
-  OverloadGovernor governor;
-  governor.bind(/*group_size=*/3, /*max_tries=*/5);
-  EXPECT_TRUE(governor.bound());
+  // Construction binds the group size and R.
+  OverloadGovernor governor(/*group_size=*/3, /*max_tries=*/5);
   EXPECT_EQ(governor.max_tries_ceiling(), 5u);
+  EXPECT_EQ(governor.min_tries_floor(), 3u);  // the default floor, below R
   EXPECT_EQ(governor.effective_max_tries(), 5u);
   EXPECT_EQ(governor.open_breakers(), 0u);
 }
@@ -51,8 +51,7 @@ TEST(Governor, BindSetsCeilingFloorAndStartsWideOpen) {
 TEST(Governor, FloorClampsToTheCeiling) {
   GovernorOptions options;
   options.min_tries = 3;
-  OverloadGovernor governor(options);
-  governor.bind(2, /*max_tries=*/2);  // R below the configured floor
+  OverloadGovernor governor(2, /*max_tries=*/2, options);  // R below the configured floor
   offer(governor, 10, 10);
   governor.note_utilization(1.0);
   governor.advance_window();
@@ -63,8 +62,7 @@ TEST(Governor, FloorClampsToTheCeiling) {
 TEST(Governor, HotWindowHalvesTowardFloor) {
   GovernorOptions options;
   options.min_tries = 3;
-  OverloadGovernor governor(options);
-  governor.bind(2, /*max_tries=*/16);
+  OverloadGovernor governor(2, /*max_tries=*/16, options);
   // Hot: rejection 0.5 >= 0.30 and hwm 0.95 >= 0.90.
   offer(governor, 10, 5);
   governor.note_utilization(0.95);
@@ -87,8 +85,7 @@ TEST(Governor, HotWindowHalvesTowardFloor) {
 }
 
 TEST(Governor, HotNeedsBothSignals) {
-  OverloadGovernor governor;
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8);
   // High rejection but idle links: not hot (and not cool at 0.5 > 0.15).
   offer(governor, 10, 5);
   governor.note_utilization(0.50);
@@ -104,8 +101,7 @@ TEST(Governor, HotNeedsBothSignals) {
 }
 
 TEST(Governor, CoolWindowsRelaxBackToCeiling) {
-  OverloadGovernor governor;
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8);
   offer(governor, 10, 5);
   governor.note_utilization(1.0);
   governor.advance_window();
@@ -119,8 +115,7 @@ TEST(Governor, CoolWindowsRelaxBackToCeiling) {
 }
 
 TEST(Governor, EmptyWindowHoldsTheBound) {
-  OverloadGovernor governor;
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8);
   offer(governor, 10, 5);
   governor.note_utilization(1.0);
   governor.advance_window();
@@ -132,8 +127,7 @@ TEST(Governor, EmptyWindowHoldsTheBound) {
 }
 
 TEST(Governor, WindowCountersResetBetweenWindows) {
-  OverloadGovernor governor;
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8);
   offer(governor, 10, 5);
   governor.note_utilization(1.0);
   governor.advance_window();
@@ -146,8 +140,7 @@ TEST(Governor, WindowCountersResetBetweenWindows) {
 TEST(Governor, AdaptiveRetrialDisabledHoldsCeiling) {
   GovernorOptions options;
   options.adaptive_retrial = false;
-  OverloadGovernor governor(options);
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8, options);
   offer(governor, 10, 10);
   governor.note_utilization(1.0);
   governor.advance_window();
@@ -155,8 +148,7 @@ TEST(Governor, AdaptiveRetrialDisabledHoldsCeiling) {
 }
 
 TEST(Governor, NoBudgetNeverSheds) {
-  OverloadGovernor governor;
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(governor.admit_request(0.0));
   }
@@ -167,8 +159,7 @@ TEST(Governor, BudgetShedsWhenExhaustedAndRefills) {
   GovernorOptions options;
   options.shed_budget_msgs_per_s = 10.0;
   options.shed_burst_msgs = 5.0;
-  OverloadGovernor governor(options);
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5, options);
   // Drain the 5-message bucket with one expensive walk at t = 0.
   EXPECT_TRUE(governor.admit_request(0.0));
   governor.on_decision(0.0, /*admitted=*/false, /*path_messages=*/5);
@@ -182,8 +173,7 @@ TEST(Governor, WalkPaymentFloorsAtZero) {
   GovernorOptions options;
   options.shed_budget_msgs_per_s = 10.0;
   options.shed_burst_msgs = 4.0;
-  OverloadGovernor governor(options);
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5, options);
   // A 100-message walk against a 4-token bucket pays 4 and stops: the
   // bucket floors at zero instead of going into debt for minutes.
   governor.on_decision(0.0, /*admitted=*/true, /*path_messages=*/100);
@@ -194,8 +184,7 @@ TEST(Governor, WalkPaymentFloorsAtZero) {
 TEST(Governor, DerivedBurstIsTwiceTheBudget) {
   GovernorOptions options;
   options.shed_budget_msgs_per_s = 3.0;  // derived depth 6
-  OverloadGovernor governor(options);
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5, options);
   governor.on_decision(0.0, true, 5);
   EXPECT_TRUE(governor.admit_request(0.0));  // one of six tokens left
   governor.on_decision(0.0, true, 1);
@@ -205,8 +194,7 @@ TEST(Governor, DerivedBurstIsTwiceTheBudget) {
 TEST(Governor, StreakOfCapacityFailuresTripsBreaker) {
   GovernorOptions options;
   options.breaker.failure_threshold = 3;
-  OverloadGovernor governor(options);
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5, options);
   for (int i = 0; i < 2; ++i) {
     governor.on_member_result(0, capacity_block());
   }
@@ -222,8 +210,7 @@ TEST(Governor, StreakOfCapacityFailuresTripsBreaker) {
 TEST(Governor, SuccessBreaksTheStreak) {
   GovernorOptions options;
   options.breaker.failure_threshold = 2;
-  OverloadGovernor governor(options);
-  governor.bind(1, 5);
+  OverloadGovernor governor(1, 5, options);
   governor.on_member_result(0, capacity_block());
   governor.on_member_result(0, success());
   governor.on_member_result(0, capacity_block());
@@ -233,16 +220,14 @@ TEST(Governor, SuccessBreaksTheStreak) {
 TEST(Governor, GiveUpTripsImmediately) {
   GovernorOptions options;
   options.breaker.failure_threshold = 5;
-  OverloadGovernor governor(options);
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5, options);
   governor.on_member_result(1, give_up());  // retransmit exhaustion: no streak needed
   EXPECT_EQ(governor.breaker_state(1), BreakerState::kOpen);
   EXPECT_EQ(governor.stats().breaker_trips, 1u);
 }
 
 TEST(Governor, ChurnTripsTheBreaker) {
-  OverloadGovernor governor;
-  governor.bind(3, 5);
+  OverloadGovernor governor(3, 5);
   governor.on_member_churn(2);
   EXPECT_FALSE(governor.allow_member(2));
   EXPECT_EQ(governor.stats().breaker_trips, 1u);
@@ -254,8 +239,7 @@ TEST(Governor, ChurnTripsTheBreaker) {
 TEST(Governor, ChurnIgnoredWhenBreakersDisabled) {
   GovernorOptions options;
   options.member_breakers = false;
-  OverloadGovernor governor(options);
-  governor.bind(2, 5);
+  OverloadGovernor governor(2, 5, options);
   governor.on_member_churn(0);
   EXPECT_TRUE(governor.allow_member(0));
   EXPECT_EQ(governor.stats().breaker_trips, 0u);
@@ -265,8 +249,7 @@ TEST(Governor, CooldownTimerHalfOpensAndProbeCloses) {
   GovernorOptions options;
   options.breaker.failure_threshold = 1;
   options.breaker.cooldown_s = 10.0;
-  OverloadGovernor governor(options);
-  governor.bind(1, 5);
+  OverloadGovernor governor(1, 5, options);
   des::Simulator simulator;
   governor.attach(simulator, [] { return true; });  // window timer fires once only
   governor.on_member_result(0, capacity_block());
@@ -286,8 +269,7 @@ TEST(Governor, FailedProbeReopensAndRunsAFreshCooldown) {
   GovernorOptions options;
   options.breaker.failure_threshold = 1;
   options.breaker.cooldown_s = 10.0;
-  OverloadGovernor governor(options);
-  governor.bind(1, 5);
+  OverloadGovernor governor(1, 5, options);
   des::Simulator simulator;
   governor.attach(simulator, [] { return true; });
   governor.on_member_result(0, capacity_block());
@@ -306,8 +288,7 @@ TEST(Governor, StaleCooldownTimerCannotEndANewerTrip) {
   GovernorOptions options;
   options.breaker.failure_threshold = 1;
   options.breaker.cooldown_s = 10.0;
-  OverloadGovernor governor(options);
-  governor.bind(1, 5);
+  OverloadGovernor governor(1, 5, options);
   des::Simulator simulator;
   governor.attach(simulator, [] { return true; });
   // Trip at t = 0 (cooldown due t = 10), probe-fail at t = 5 via churn after
@@ -326,8 +307,7 @@ TEST(Governor, StaleCooldownTimerCannotEndANewerTrip) {
 TEST(Governor, WindowTimerDrivesAimdOnTheKernel) {
   GovernorOptions options;
   options.window_s = 5.0;
-  OverloadGovernor governor(options);
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8, options);
   des::Simulator simulator;
   bool stop = false;
   governor.attach(simulator, [&stop] { return stop; });
@@ -345,7 +325,7 @@ TEST(Governor, OptionValidation) {
   const auto bad = [](auto mutate) {
     GovernorOptions options;
     mutate(options);
-    EXPECT_THROW(OverloadGovernor{options}, std::invalid_argument);
+    EXPECT_THROW(OverloadGovernor(2, 5, options), std::invalid_argument);
   };
   bad([](GovernorOptions& o) { o.window_s = 0.0; });
   bad([](GovernorOptions& o) { o.min_tries = 0; });
@@ -358,19 +338,16 @@ TEST(Governor, OptionValidation) {
 }
 
 TEST(Governor, LifecycleValidation) {
-  OverloadGovernor governor;
-  EXPECT_THROW(governor.advance_window(), std::invalid_argument);
+  EXPECT_THROW(OverloadGovernor(0, 5), std::invalid_argument);  // empty group
+  EXPECT_THROW(OverloadGovernor(2, 0), std::invalid_argument);  // R = 0
+  OverloadGovernor governor(2, 5);
   des::Simulator simulator;
+  governor.attach(simulator);
   EXPECT_THROW(governor.attach(simulator), std::invalid_argument);
-  governor.bind(2, 5);
-  EXPECT_THROW(governor.bind(2, 5), std::invalid_argument);
-  EXPECT_THROW(OverloadGovernor{}.bind(0, 5), std::invalid_argument);
-  EXPECT_THROW(OverloadGovernor{}.bind(2, 0), std::invalid_argument);
 }
 
 TEST(AdaptiveRetrial, TracksTheGovernorsEffectiveBound) {
-  OverloadGovernor governor;
-  governor.bind(2, 8);
+  OverloadGovernor governor(2, 8);
   const AdaptiveRetrialPolicy policy(governor);
   EXPECT_EQ(policy.max_attempts(), 8u);  // always the static ceiling
   EXPECT_TRUE(policy.keep_going(7));
@@ -380,14 +357,9 @@ TEST(AdaptiveRetrial, TracksTheGovernorsEffectiveBound) {
   governor.advance_window();
   ASSERT_EQ(governor.effective_max_tries(), 4u);
   EXPECT_TRUE(policy.keep_going(3));
-  EXPECT_FALSE(policy.keep_going(4));  // tightened live, no rebind needed
+  EXPECT_FALSE(policy.keep_going(4));  // tightened live
   EXPECT_EQ(policy.max_attempts(), 8u);  // ceiling unchanged: spans stay sized
   EXPECT_EQ(policy.name(), "adaptive(R<=8)");
-}
-
-TEST(AdaptiveRetrial, RequiresABoundGovernor) {
-  const OverloadGovernor governor;
-  EXPECT_THROW(AdaptiveRetrialPolicy{governor}, std::invalid_argument);
 }
 
 }  // namespace

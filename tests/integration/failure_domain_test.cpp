@@ -56,12 +56,9 @@ TEST(FailureDomain, CrashRecoveryStormDrainsCleanUnderAudit) {
   config.resilience = resilience;
   config.churn.push_back(single_churn(1, 250.0, 350.0));
   config.faults.push_back(single_fault(0, 1, 300.0, 450.0));
-  net::FloodingReconvergence flooding(0.5);
-  config.reconvergence = &flooding;
+  config.reconvergence_delay_s = net::flooding_delay_s(topo, 0.5);
   config.path_repair = true;
-  control::GovernorOptions governor_options;
-  control::OverloadGovernor governor(governor_options);
-  config.governor = &governor;
+  config.governor = control::GovernorOptions{};
 
   Simulation sim(topo, config);
   audit::AuditorOptions audit_options;
@@ -87,8 +84,8 @@ TEST(FailureDomain, CrashRecoveryStormDrainsCleanUnderAudit) {
   // Breakers tripped for members behind dead routers, and none is stuck
   // Open after the drain (recovered routers pass their half-open probes or
   // sit harmlessly HalfOpen/Closed with no traffic).
-  EXPECT_GT(governor.stats().breaker_trips, 0u);
-  EXPECT_EQ(governor.open_breakers(), 0u);
+  EXPECT_GT(sim.governor()->stats().breaker_trips, 0u);
+  EXPECT_EQ(sim.governor()->open_breakers(), 0u);
 }
 
 TEST(FailureDomain, SameSeedStormRunsAreByteIdentical) {
@@ -96,8 +93,7 @@ TEST(FailureDomain, SameSeedStormRunsAreByteIdentical) {
   auto run_once = [&topo](std::string& timeline_out, std::string& trace_out,
                           SimulationResult& result) {
     SimulationConfig config = storm_config(topo);
-    net::FixedReconvergence fixed(1.0);
-    config.reconvergence = &fixed;
+    config.reconvergence_delay_s = 1.0;
     config.path_repair = true;
     obs::TimelineOptions timeline_options;
     timeline_options.interval_s = 50.0;
@@ -170,8 +166,7 @@ TEST(FailureDomain, UnattachedRunsCarryNoFailureDomainResidue) {
   EXPECT_EQ(jsonl.str().find("repairs_per_s"), std::string::npos);
 
   SimulationConfig idle = base();
-  net::InstantReconvergence instant;
-  idle.reconvergence = &instant;
+  idle.reconvergence_delay_s = 0.0;
   idle.path_repair = true;  // armed but never triggered: no faults scheduled
   Simulation armed(topo, idle);
   const SimulationResult armed_result = armed.run();

@@ -50,13 +50,12 @@ TEST(GovernorIntegration, SameSeedRunsAreByteIdenticalWithControlEngaged) {
     sim::SimulationConfig config = overload_config();
     control::GovernorOptions options;
     options.window_s = 50.0;
-    control::OverloadGovernor governor(options);
-    config.governor = &governor;
+    config.governor = options;
     obs::Timeline timeline(obs::TimelineOptions{50.0});
     config.timeline = &timeline;
     sim::Simulation simulation(topo, config);
     (void)simulation.run();
-    first_stats = governor.stats();
+    first_stats = simulation.governor()->stats();
     std::ostringstream jsonl;
     timeline.write_jsonl(jsonl);
     return jsonl.str();
@@ -88,8 +87,7 @@ TEST(GovernorIntegration, IdleGovernorMatchesTheStaticBaseline) {
   options.hot_utilization = 1.0;
   options.cool_rejection_rate = 0.0;
   options.breaker.failure_threshold = 1'000'000;
-  control::OverloadGovernor governor(options);
-  config.governor = &governor;
+  config.governor = options;
   sim::Simulation with_governor(topo, config);
   const sim::SimulationResult a = with_governor.run();
   sim::Simulation baseline(topo, baseline_config);
@@ -102,8 +100,8 @@ TEST(GovernorIntegration, IdleGovernorMatchesTheStaticBaseline) {
   EXPECT_DOUBLE_EQ(a.average_attempts, b.average_attempts);
   EXPECT_DOUBLE_EQ(a.average_active_flows, b.average_active_flows);
   EXPECT_EQ(a.shed, 0u);
-  EXPECT_EQ(governor.stats().tighten_steps, 0u);
-  EXPECT_EQ(governor.stats().breaker_trips, 0u);
+  EXPECT_EQ(with_governor.governor()->stats().tighten_steps, 0u);
+  EXPECT_EQ(with_governor.governor()->stats().breaker_trips, 0u);
 }
 
 TEST(GovernorIntegration, ChaosDrainLeavesNoBreakerOpen) {
@@ -136,12 +134,12 @@ TEST(GovernorIntegration, ChaosDrainLeavesNoBreakerOpen) {
 
   control::GovernorOptions options;
   options.breaker.cooldown_s = 30.0;
-  control::OverloadGovernor governor(options);
-  config.governor = &governor;
+  config.governor = options;
 
   sim::Simulation simulation(topo, config);
   const sim::SimulationResult result = simulation.run();
 
+  const control::OverloadGovernor& governor = *simulation.governor();
   EXPECT_GE(governor.stats().breaker_trips, 2u);  // one per churned member
   EXPECT_EQ(governor.open_breakers(), 0u);
   EXPECT_EQ(simulation.active_flows(), 0u);
@@ -158,8 +156,7 @@ TEST(GovernorIntegration, ShedRequestsAreAccountedSeparatelyEndToEnd) {
 
   control::GovernorOptions options;
   options.shed_budget_msgs_per_s = 20.0;  // far below the offered walk rate
-  control::OverloadGovernor governor(options);
-  config.governor = &governor;
+  config.governor = options;
 
   sim::MemoryTraceSink trace;
   config.trace = &trace;
@@ -172,7 +169,7 @@ TEST(GovernorIntegration, ShedRequestsAreAccountedSeparatelyEndToEnd) {
   const sim::SimulationResult result = simulation.run();
 
   ASSERT_GT(result.shed, 0u);
-  EXPECT_EQ(result.shed, governor.stats().shed);
+  EXPECT_EQ(result.shed, simulation.governor()->stats().shed);
   // Shed requests never join the offered tally or the AP denominator.
   EXPECT_EQ(trace.count(sim::TraceEventKind::kShed), result.shed);
   EXPECT_EQ(trace.count(sim::TraceEventKind::kAdmitted), result.admitted);

@@ -86,8 +86,7 @@ RunArtifacts run_once(sim::SimulationConfig config, obs::OpsServer* server,
                       control::DirectiveMailbox* mailbox,
                       std::vector<control::TimedDirective> replay) {
   const net::Topology topo = net::topologies::mci_backbone();
-  control::OverloadGovernor governor;  // fresh per run: bind() is once-only
-  config.governor = &governor;
+  config.governor = control::GovernorOptions{};
   config.ops_server = server;
   config.ops_mailbox = mailbox;
   config.ops_replay = std::move(replay);
@@ -174,8 +173,7 @@ TEST(OpsPlaneIntegration, IdleOpsPlaneChangesNoArtifactByte) {
 
   const auto run_plain = [&topo](sim::SimulationConfig config,
                                  obs::OpsServer* server) {
-    control::OverloadGovernor governor;
-    config.governor = &governor;
+    config.governor = control::GovernorOptions{};
     config.ops_server = server;
     std::ostringstream trace_out;
     sim::CsvTraceSink trace(trace_out);

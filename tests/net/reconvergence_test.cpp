@@ -2,44 +2,99 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
+#include "src/net/link_state.h"
+#include "src/net/metrics.h"
 #include "src/net/routing.h"
 #include "src/net/topologies.h"
 
 namespace anyqos::net {
 namespace {
 
-TEST(ReconvergencePolicy, InstantIsZeroEverywhere) {
-  InstantReconvergence policy;
-  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::line(2)), 0.0);
-  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::mci_backbone()), 0.0);
-  EXPECT_EQ(policy.name(), "instant");
-}
-
-TEST(ReconvergencePolicy, FixedIgnoresTopologyShape) {
-  FixedReconvergence policy(2.5);
-  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::line(2)), 2.5);
-  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::grid(5, 5)), 2.5);
-  EXPECT_EQ(policy.name(), "fixed");
-  EXPECT_THROW(FixedReconvergence(-1.0), std::invalid_argument);
-}
-
 TEST(ReconvergencePolicy, FloodingScalesWithDiameter) {
   // delay = (diameter + 1) rounds: the LSA reaches the farthest router in
   // `diameter` flooding rounds, plus one round for the local SPF.
-  FloodingReconvergence policy(0.1);
   const Topology line5 = topologies::line(5);  // diameter 4
-  EXPECT_DOUBLE_EQ(policy.delay_s(line5), 0.5);
-  FloodingReconvergence ring_policy(0.1);
-  const Topology ring8 = topologies::ring(8);  // diameter 4
-  EXPECT_DOUBLE_EQ(ring_policy.delay_s(ring8), 0.5);
-  // One policy object prices each topology it is asked about, not the first.
-  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::line(9)), 0.9);  // diameter 8
-  EXPECT_DOUBLE_EQ(policy.delay_s(topologies::star(4)), 0.3);  // diameter 2
-  EXPECT_DOUBLE_EQ(policy.delay_s(line5), 0.5);
-  EXPECT_EQ(policy.name(), "flooding");
-  EXPECT_THROW(FloodingReconvergence(0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(flooding_delay_s(line5, 0.1), 0.5);
+  EXPECT_DOUBLE_EQ(flooding_delay_s(topologies::ring(8), 0.1), 0.5);  // diameter 4
+  EXPECT_DOUBLE_EQ(flooding_delay_s(topologies::line(9), 0.1), 0.9);  // diameter 8
+  EXPECT_DOUBLE_EQ(flooding_delay_s(topologies::star(4), 0.1), 0.3);  // diameter 2
+  EXPECT_DOUBLE_EQ(flooding_delay_s(line5, 2.0), 10.0);
+  EXPECT_THROW((void)flooding_delay_s(line5, 0.0), std::invalid_argument);
+}
+
+/// The topologies the flooding delay is checked against, with whether the
+/// worst single-link change needs every priced round.
+struct PricedTopology {
+  const char* name;
+  Topology topology;
+  bool tight;
+};
+
+std::vector<PricedTopology> priced_topologies() {
+  std::vector<PricedTopology> cases;
+  cases.push_back({"mci", topologies::mci_backbone(), true});
+  cases.push_back({"ring:8", topologies::ring(8), false});
+  cases.push_back({"ring:9", topologies::ring(9), true});
+  cases.push_back({"grid:4x5", topologies::grid(4, 5), false});
+  cases.push_back({"line:6", topologies::line(6), false});
+  cases.push_back({"star:5", topologies::star(5), false});
+  cases.push_back({"waxman:40x3", topologies::waxman(40, 0.6, 0.5, 3), true});
+  return cases;
+}
+
+TEST(FloodingDelay, LinkStateConvergesWithinThePricedRoundsAfterAnySingleLinkChange) {
+  // The link-state protocol is the oracle for the delay: after any single
+  // duplex failure, and after its repair, flooding plus the fixed-point
+  // round take at most diameter(intact) + 1 rounds — what the delay prices.
+  for (const PricedTopology& c : priced_topologies()) {
+    const std::size_t priced = diameter(c.topology) + 1;
+    LinkStateProtocol protocol(c.topology);
+    protocol.converge();
+    std::size_t worst = 0;
+    for (LinkId link = 0; link < c.topology.link_count(); link += 2) {
+      protocol.fail_duplex_link(link);
+      const std::size_t down_rounds = protocol.converge();
+      protocol.restore_duplex_link(link);
+      const std::size_t up_rounds = protocol.converge();
+      ASSERT_TRUE(protocol.converged()) << c.name;
+      EXPECT_LE(down_rounds, priced) << c.name << " link " << link << " down";
+      EXPECT_LE(up_rounds, priced) << c.name << " link " << link << " up";
+      worst = std::max({worst, down_rounds, up_rounds});
+    }
+    if (c.tight) {
+      EXPECT_EQ(worst, priced) << c.name << ": the bound is reached";
+    }
+  }
+}
+
+TEST(FloodingDelay, RouterCrashCanOutlastThePricedRounds) {
+  // The bound's scope: a crash fails every link of one router at once, and
+  // each of those links' LSAs floods from its surviving end only, so the
+  // routers behind the crash hear of it later than a single link change.
+  const auto worst_crash = [](const Topology& topology) {
+    std::size_t worst = 0;
+    for (NodeId router = 0; router < topology.router_count(); ++router) {
+      LinkStateProtocol protocol(topology);
+      protocol.converge();
+      for (LinkId link = 0; link < topology.link_count(); link += 2) {
+        if (topology.link(link).from == router || topology.link(link).to == router) {
+          protocol.fail_duplex_link(link);
+        }
+      }
+      worst = std::max(worst, protocol.converge());
+    }
+    return worst;
+  };
+  const Topology mci = topologies::mci_backbone();
+  EXPECT_EQ(diameter(mci) + 1, 6u);
+  EXPECT_EQ(worst_crash(mci), 7u);
+  const Topology ring9 = topologies::ring(9);
+  EXPECT_EQ(diameter(ring9) + 1, 5u);
+  EXPECT_EQ(worst_crash(ring9), 8u);
 }
 
 TEST(RouteTableRecompute, AllLinksUpReproducesTheInitialTable) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <vector>
 
@@ -109,38 +108,6 @@ TEST_P(RoutingBruteForce, KShortestEnumeratesTheTrueTopK) {
     topo_.validate_path(p);
     EXPECT_TRUE(seen.insert(p.links).second);
   }
-}
-
-TEST_P(RoutingBruteForce, WidestPathHasMaximumBottleneck) {
-  // Randomize link loads, then verify widest_path finds the max-bottleneck
-  // value among all enumerated paths.
-  BandwidthLedger ledger(topo_, 1.0);
-  des::RandomStream rng(GetParam() * 13 + 1);
-  for (LinkId id = 0; id < topo_.link_count(); ++id) {
-    const double load = rng.uniform(0.0, 0.95) * ledger.capacity(id);
-    Path one;
-    one.source = topo_.link(id).from;
-    one.destination = topo_.link(id).to;
-    one.links = {id};
-    ASSERT_TRUE(ledger.reserve(one, load));
-  }
-  const NodeId s = 1;
-  const NodeId d = static_cast<NodeId>(topo_.router_count() - 2);
-  const auto enumerated = all_paths(topo_, s, d);
-  if (enumerated.empty()) {
-    GTEST_SKIP() << "disconnected pair";
-  }
-  double best = 0.0;
-  for (const auto& links : enumerated) {
-    double bottleneck = std::numeric_limits<double>::infinity();
-    for (const LinkId id : links) {
-      bottleneck = std::min(bottleneck, ledger.available(id));
-    }
-    best = std::max(best, bottleneck);
-  }
-  const auto widest = widest_path(topo_, ledger, s, d);
-  ASSERT_TRUE(widest.has_value());
-  EXPECT_NEAR(ledger.bottleneck(*widest), best, 1e-6);
 }
 
 TEST_P(RoutingBruteForce, FeasiblePathAgreesWithEnumeration) {

@@ -128,43 +128,6 @@ TEST(ShortestFeasiblePathToAny, FallsBackWhenNearestBlocked) {
   EXPECT_EQ(path->destination, 3u);
 }
 
-TEST(WidestPath, PrefersLargerBottleneck) {
-  const Topology topo = square();
-  BandwidthLedger ledger(topo, 1.0);
-  // Load the 0-1 link: route via 3 now has the wider bottleneck.
-  Path load;
-  load.source = 0;
-  load.destination = 1;
-  load.links = {*topo.find_link(0, 1)};
-  ASSERT_TRUE(ledger.reserve(load, 60.0e6));
-  const auto path = widest_path(topo, ledger, 0, 2);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(topo.link(path->links[0]).to, 3u);
-  EXPECT_DOUBLE_EQ(ledger.bottleneck(*path), 100.0e6);
-}
-
-TEST(WidestPath, FewerHopsBreakWidthTies) {
-  const Topology topo = square();
-  const BandwidthLedger ledger(topo, 1.0);
-  const auto path = widest_path(topo, ledger, 0, 1);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->hops(), 1u);
-}
-
-TEST(WidestPath, SelfAndDisconnected) {
-  const Topology topo = square();
-  const BandwidthLedger ledger(topo, 1.0);
-  const auto self = widest_path(topo, ledger, 2, 2);
-  ASSERT_TRUE(self.has_value());
-  EXPECT_TRUE(self->empty());
-
-  Topology split;
-  split.add_router();
-  split.add_router();
-  const BandwidthLedger ledger2(split, 1.0);
-  EXPECT_FALSE(widest_path(split, ledger2, 0, 1).has_value());
-}
-
 TEST(KShortestPaths, EnumeratesDistinctLooplessPaths) {
   const Topology topo = square();
   const auto paths = k_shortest_paths(topo, 0, 2, 5);

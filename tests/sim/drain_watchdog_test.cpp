@@ -72,6 +72,10 @@ TEST(DrainWatchdog, GenerousCapsNeverTripAndMatchUnbounded) {
   EXPECT_EQ(capped_result.explicit_teardowns, unbounded_result.explicit_teardowns);
   EXPECT_DOUBLE_EQ(capped_result.admission_probability,
                    unbounded_result.admission_probability);
+  // The drain's event count is reported capped or not, and both drains
+  // dispatch the same events.
+  EXPECT_GT(capped.drain_watchdog().drained_events, 0u);
+  EXPECT_EQ(unbounded.drain_watchdog().drained_events, capped.drain_watchdog().drained_events);
 }
 
 TEST(DrainWatchdog, NoDrainMeansNoTrip) {

@@ -13,7 +13,6 @@
 
 #include "src/audit/auditor.h"
 #include "src/control/governor.h"
-#include "src/net/reconvergence.h"
 #include "src/net/topologies.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/timeline.h"
@@ -198,16 +197,14 @@ TEST(MultiGroup, Validation) {
   config = base;
   config.churn.push_back(single_churn(0, 300.0, 400.0));
   expect_rejected(topo, config, "member churn");
-  control::OverloadGovernor governor;
   config = base;
-  config.governor = &governor;
+  config.governor = control::GovernorOptions{};
   expect_rejected(topo, config, "governor");
   config = base;
   config.node_faults.push_back(single_node_fault(2, 300.0, 400.0));
   expect_rejected(topo, config, "node faults");
-  net::InstantReconvergence reconvergence;
   config = base;
-  config.reconvergence = &reconvergence;
+  config.reconvergence_delay_s = 0.0;
   expect_rejected(topo, config, "reconvergence");
   config.path_repair = true;  // path repair requires reconvergence
   expect_rejected(topo, config, "reconvergence");

@@ -1,12 +1,11 @@
 // Node crash/recovery fault domains: a router crash fails every incident
 // link atomically, takes co-located group members down, interacts with
 // overlapping link faults through hold counts, and (with a reconvergence
-// policy + path repair) broken flows are re-signaled over the new routes.
+// delay + path repair) broken flows are re-signaled over the new routes.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "src/net/reconvergence.h"
 #include "src/net/topologies.h"
 #include "src/sim/faults.h"
 #include "src/sim/simulation.h"
@@ -53,14 +52,13 @@ TEST(NodeFaults, CrashFailsEveryIncidentLinkAndRecoveryRestoresThem) {
 }
 
 TEST(NodeFaults, ReconvergenceAndRepairRouteAroundTheCrash) {
-  // Same crash, but with an instant reconvergence policy and path repair:
+  // Same crash, but with instant reconvergence and path repair:
   // broken flows re-signal over 2-3-4-0 and nothing is dropped; admissions
   // during the outage use the detour, so AP stays 1.
   const net::Topology topo = net::topologies::ring(5);
   SimulationConfig config = base_config();
   config.node_faults.push_back(single_node_fault(1, 150.0, 250.0));
-  net::InstantReconvergence instant;
-  config.reconvergence = &instant;
+  config.reconvergence_delay_s = 0.0;
   config.path_repair = true;
   MemoryTraceSink trace;
   config.trace = &trace;
@@ -168,7 +166,7 @@ TEST(NodeFaults, ConfigValidation) {
     EXPECT_THROW(Simulation(topo, config), std::invalid_argument);
   }
   {
-    // Path repair requires a reconvergence policy (stale routes can never
+    // Path repair requires a reconvergence delay (stale routes can never
     // heal, so the queue would starve).
     SimulationConfig config = base_config();
     config.path_repair = true;

@@ -9,7 +9,6 @@
 
 #include "src/audit/auditor.h"
 #include "src/control/governor.h"
-#include "src/net/reconvergence.h"
 #include "src/sim/churn.h"
 #include "src/sim/experiment.h"
 #include "src/sim/faults.h"
@@ -97,15 +96,13 @@ TEST(PolicySimulation, RejectsGdiWithAPolicyAndTheDacOnlyPlanes) {
   SimulationConfig config = policy_config(model, policy_cases()[1]);
   config.use_gdi = true;
   expect_rejected(model.topology, config, "use_gdi");
-  control::OverloadGovernor governor;
-  net::InstantReconvergence reconvergence;
   for (const PolicyCase& policy : policy_cases()) {
     const SimulationConfig base = policy_config(model, policy);
     config = base;
     config.churn.push_back(single_churn(0, 300.0, 400.0));
     expect_rejected(model.topology, config, "churn");
     config = base;
-    config.governor = &governor;
+    config.governor = control::GovernorOptions{};
     expect_rejected(model.topology, config, "governor");
     config = base;
     config.resilience = signaling::ResilienceOptions{};
@@ -114,7 +111,7 @@ TEST(PolicySimulation, RejectsGdiWithAPolicyAndTheDacOnlyPlanes) {
     config.node_faults.push_back(single_node_fault(2, 300.0, 400.0));
     expect_rejected(model.topology, config, "node faults");
     config = base;
-    config.reconvergence = &reconvergence;
+    config.reconvergence_delay_s = 0.0;
     expect_rejected(model.topology, config, "reconvergence");
     config = base;
     config.extra_groups.push_back(GroupSpec{"extra", {2, 6}, 5.0});

@@ -177,6 +177,47 @@ TEST(Scenario, RejectsBadReconvergencePolicy) {
   EXPECT_THROW(load_scenario(text), std::invalid_argument);
 }
 
+/// A one-member scenario on `topology` with the given reconvergence block.
+Scenario reconverging(const std::string& topology, const std::string& policy, double param_s) {
+  Scenario scenario;
+  scenario.topology = topology;
+  scenario.group = {0};
+  scenario.sources = {1};
+  scenario.reconvergence = ScenarioReconvergence{policy, param_s};
+  return scenario;
+}
+
+/// The reconvergence delay make_scenario_run lowers that scenario to.
+double lowered_delay(const std::string& topology, const std::string& policy, double param_s) {
+  return make_scenario_run(reconverging(topology, policy, param_s))
+      ->config.reconvergence_delay_s.value();
+}
+
+TEST(ReconvergencePolicy, InstantIsZeroEverywhere) {
+  EXPECT_DOUBLE_EQ(lowered_delay("line:2", "instant", 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(lowered_delay("mci", "instant", 0.0), 0.0);
+  // Without a block the routes stay static: no delay at all.
+  Scenario scenario = reconverging("mci", "instant", 0.0);
+  scenario.reconvergence.reset();
+  EXPECT_FALSE(make_scenario_run(scenario)->config.reconvergence_delay_s.has_value());
+}
+
+TEST(ReconvergencePolicy, FixedIgnoresTopologyShape) {
+  EXPECT_DOUBLE_EQ(lowered_delay("line:2", "fixed", 2.5), 2.5);
+  EXPECT_DOUBLE_EQ(lowered_delay("grid:5x5", "fixed", 2.5), 2.5);
+  // However the delay was set, the simulation refuses a negative one.
+  const auto run = make_scenario_run(reconverging("line:2", "fixed", 2.5));
+  run->config.reconvergence_delay_s = -1.0;
+  EXPECT_THROW(Simulation(run->topology, run->config), std::invalid_argument);
+}
+
+TEST(Scenario, LowersFloodingToTheDiameterDelay) {
+  EXPECT_DOUBLE_EQ(lowered_delay("ring:8", "flooding", 0.1), 0.5);  // diameter 4
+  EXPECT_DOUBLE_EQ(lowered_delay("line:9", "flooding", 0.1), 0.9);  // diameter 8
+  EXPECT_THROW(make_scenario_run(reconverging("ring:8", "flooding", 0.0)),
+               std::invalid_argument);
+}
+
 TEST(Scenario, BuildsEveryTopologyFamily) {
   EXPECT_EQ(build_scenario_topology("mci").router_count(), 19U);
   EXPECT_EQ(build_scenario_topology("line:4").router_count(), 4U);

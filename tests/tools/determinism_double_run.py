@@ -14,6 +14,7 @@ Registered via ctest (see examples/CMakeLists.txt).
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,12 @@ BASE_ARGS = [
 FAULT_ARGS = BASE_ARGS + [
     "--node-mtbf=2000", "--node-mttr=120",
     "--reconverge-delay=0.5", "--path-repair",
+]
+
+# The overload governor with all three mechanisms engaged: AIMD with a floor
+# of 1, member breakers, and a signaling budget tight enough to shed.
+GOVERNOR_ARGS = BASE_ARGS + [
+    "--adaptive", "--breaker", "--min-retries=1", "--shed-budget=40",
 ]
 
 # GDI runs through Simulation's admission-policy seam. Churn is DAC-only,
@@ -43,13 +50,24 @@ GDI_ARGS = [
 # same run with the kernel introspection sink attached: the kernel-stats
 # artifact itself must double-run byte-identical, and — the attach-gating
 # contract — attaching the sink must not move a single byte of the trace
-# relative to the unattached "node-faults" run. "gdi" double-runs the one
-# non-DAC admission procedure a CLI reaches.
+# relative to the unattached "node-faults" run. "governor" double-runs the
+# feedback control plane on the link-fault + churn mix, and must show that
+# the governor acted. "gdi" double-runs the one non-DAC admission procedure
+# a CLI reaches.
 SCENARIOS = [
     ("base", BASE_ARGS, False),
     ("node-faults", FAULT_ARGS, False),
     ("kernel-stats", FAULT_ARGS, True),
+    ("governor", GOVERNOR_ARGS, False),
     ("gdi", GDI_ARGS, False),
+]
+
+# dacsim summary lines that prove the governor acted: (label, pattern whose
+# first group must be a positive count).
+GOVERNOR_ACTIONS = [
+    ("tightened the retrial bound", r"overload governor .*\((\d+) tightened"),
+    ("tripped a breaker", r"member breakers\s+(\d+) trips"),
+    ("shed a request", r"load shedding\s+(\d+) requests fast-rejected"),
 ]
 
 
@@ -69,7 +87,17 @@ def run_once(dacsim, workdir, tag, args, kernel):
     for artifact in artifacts:
         if not os.path.exists(artifact) or os.path.getsize(artifact) == 0:
             raise SystemExit(f"dacsim run {tag} left no artifact {artifact}")
-    return artifacts
+    return artifacts, proc.stdout
+
+
+def governor_idle(stdout):
+    """The governor actions the run's summary does not show."""
+    idle = []
+    for label, pattern in GOVERNOR_ACTIONS:
+        match = re.search(pattern, stdout)
+        if match is None or int(match.group(1)) == 0:
+            idle.append(label)
+    return idle
 
 
 def first_diff(path_a, path_b):
@@ -97,9 +125,12 @@ def main():
     traces = {}
     labels = ("trace", "timeline", "kernel")
     for scenario, args, kernel in SCENARIOS:
-        run_a = run_once(dacsim, workdir, f"{scenario}-a", args, kernel)
-        run_b = run_once(dacsim, workdir, f"{scenario}-b", args, kernel)
+        run_a, stdout = run_once(dacsim, workdir, f"{scenario}-a", args, kernel)
+        run_b, _ = run_once(dacsim, workdir, f"{scenario}-b", args, kernel)
         traces[scenario] = run_a[0]
+        if scenario == "governor":
+            for label in governor_idle(stdout):
+                failures.append(f"[governor] the governor never {label}")
         for label, a, b in zip(labels, run_a, run_b):
             if filecmp.cmp(a, b, shallow=False):
                 print(f"determinism[{scenario}]: {label} byte-identical "
