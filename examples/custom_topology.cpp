@@ -83,13 +83,13 @@ class StickySelector final : public core::DestinationSelector {
     }
   }
 
-  [[nodiscard]] std::vector<double> weights() const override {
+  void fill_weights(std::vector<double>& out) const override {
     if (!sticky_.has_value()) {
-      return std::vector<double>(group_size_, 1.0 / static_cast<double>(group_size_));
+      out.assign(group_size_, 1.0 / static_cast<double>(group_size_));
+      return;
     }
-    std::vector<double> w(group_size_, 0.0);
-    w[*sticky_] = 1.0;
-    return w;
+    out.assign(group_size_, 0.0);
+    out[*sticky_] = 1.0;
   }
 
   [[nodiscard]] std::string name() const override { return "STICKY"; }

@@ -34,11 +34,12 @@ std::string describe_path(const net::Path& path, net::Bandwidth amount) {
 
 }  // namespace
 
-bool InvariantAuditor::ReservationKey::operator<(const ReservationKey& other) const {
-  if (amount != other.amount) {
-    return amount < other.amount;
+bool InvariantAuditor::ReservationOrder::operator()(ReservationRef a, ReservationRef b) const {
+  if (a.amount != b.amount) {
+    return a.amount < b.amount;
   }
-  return links < other.links;
+  return std::lexicographical_compare(a.links.begin(), a.links.end(), b.links.begin(),
+                                      b.links.end());
 }
 
 InvariantAuditor::InvariantAuditor(AuditorOptions options) : options_(options) {}
@@ -121,24 +122,31 @@ std::size_t InvariantAuditor::open_reservations() const {
 
 // --- LedgerObserver ---------------------------------------------------------
 
+std::size_t& InvariantAuditor::open_count(ReservationRef key) {
+  auto it = open_.lower_bound(key);
+  if (it == open_.end() || ReservationOrder{}(key, it->first)) {
+    it = open_.emplace_hint(it, ReservationKey{{key.links.begin(), key.links.end()}, key.amount},
+                            0);
+  }
+  return it->second;
+}
+
 void InvariantAuditor::on_reserve(const net::Path& path, net::Bandwidth amount) {
   for (const net::LinkId id : path.links) {
     shadow_reserved_[id] += amount;
   }
-  ++open_[ReservationKey{path.links, amount}];
+  ++open_count({path.links, amount});
 }
 
 void InvariantAuditor::on_release(const net::Path& path, net::Bandwidth amount) {
-  const auto it = open_.find(ReservationKey{path.links, amount});
+  const auto it = open_.find(ReservationRef{path.links, amount});
   if (it == open_.end() || it->second == 0) {
     report(AuditCheck::kLedgerPairing,
            "release with no matching open reservation (double release?) on " +
                describe_path(path, amount));
     return;  // only reached with throw_on_violation off; skip shadow update
   }
-  if (--it->second == 0) {
-    open_.erase(it);
-  }
+  --it->second;
   for (const net::LinkId id : path.links) {
     shadow_reserved_[id] -= amount;
     if (shadow_reserved_[id] < 0.0) {
@@ -153,17 +161,15 @@ void InvariantAuditor::on_reservation_narrowed(const net::Path& from, const net:
   // `amount` on the dropped links. Pairing must match the *original* key —
   // narrowing a reservation that was never opened is the same defect class
   // as a double release.
-  const auto it = open_.find(ReservationKey{from.links, amount});
+  const auto it = open_.find(ReservationRef{from.links, amount});
   if (it == open_.end() || it->second == 0) {
     report(AuditCheck::kLedgerPairing,
            "narrow with no matching open reservation on " + describe_path(from, amount));
     return;  // only reached with throw_on_violation off; skip shadow update
   }
-  if (--it->second == 0) {
-    open_.erase(it);
-  }
+  --it->second;
   if (!to.links.empty()) {
-    ++open_[ReservationKey{to.links, amount}];
+    ++open_count({to.links, amount});
   }
   // Shadow: the dropped links (multiset difference from \ to) give back
   // `amount`; the kept links are untouched.
@@ -196,16 +202,16 @@ void InvariantAuditor::on_link_restored(net::LinkId id) {
 
 // --- AdmissionObserver ------------------------------------------------------
 
-void InvariantAuditor::on_request_begin(net::NodeId source) { in_flight_[source].clear(); }
+void InvariantAuditor::on_request_begin(net::NodeId /*source*/) { tried_.clear(); }
 
 void InvariantAuditor::on_attempt(net::NodeId source, std::size_t member_index) {
-  const auto [it, inserted] = in_flight_[source].insert(member_index);
-  (void)it;
-  if (!inserted) {
+  if (std::find(tried_.begin(), tried_.end(), member_index) != tried_.end()) {
     report(AuditCheck::kRetrialDisjointness,
            "AC-router " + std::to_string(source) + " retried member " +
                std::to_string(member_index) + " within one request");
+    return;
   }
+  tried_.push_back(member_index);
 }
 
 void InvariantAuditor::on_decision(net::NodeId source, const core::AdmissionDecision& decision,
@@ -222,7 +228,7 @@ void InvariantAuditor::on_decision(net::NodeId source, const core::AdmissionDeci
                std::to_string(decision.attempts) + " attempts against only K=" +
                std::to_string(group_size) + " members");
   }
-  in_flight_.erase(source);
+  tried_.clear();
 }
 
 // --- checkpoint checks ------------------------------------------------------
@@ -264,14 +270,15 @@ void InvariantAuditor::check_ledger(double sim_time) {
 
 void InvariantAuditor::check_weights(double sim_time) {
   (void)sim_time;
-  for (const auto& [source, selector] : simulation_->active_selectors()) {
-    const std::vector<double> weights = selector->weights();
-    if (weights.empty()) {
+  simulation_->active_selectors(selectors_);
+  for (const auto& [source, selector] : selectors_) {
+    selector->fill_weights(weights_);
+    if (weights_.empty()) {
       continue;
     }
     double sum = 0.0;
-    double minimum = weights.front();
-    for (const double w : weights) {
+    double minimum = weights_.front();
+    for (const double w : weights_) {
       sum += w;
       minimum = std::min(minimum, w);
     }

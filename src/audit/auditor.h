@@ -26,8 +26,8 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/audit/violation.h"
@@ -113,12 +113,28 @@ class InvariantAuditor final : public net::LedgerObserver, public core::Admissio
                    std::size_t max_attempts, std::size_t group_size) override;
 
  private:
-  /// (path links, amount) identifying one reservation for pairing purposes.
+  /// (path links, amount) identifying one reservation for pairing purposes,
+  /// viewed in place so a lookup copies no route.
+  struct ReservationRef {
+    std::span<const net::LinkId> links;
+    net::Bandwidth amount = 0.0;
+  };
+  /// The stored form of a ReservationRef.
   struct ReservationKey {
     std::vector<net::LinkId> links;
     net::Bandwidth amount = 0.0;
-    bool operator<(const ReservationKey& other) const;
+    operator ReservationRef() const { return {links, amount}; }
   };
+  /// By amount, then links lexicographically; transparent, so open_ is
+  /// searched with a ReservationRef.
+  struct ReservationOrder {
+    using is_transparent = void;
+    bool operator()(ReservationRef a, ReservationRef b) const;
+  };
+
+  /// The open count of `key`, inserted at 0 on first sight. Keys whose
+  /// count drops to 0 stay, so a route that comes back allocates nothing.
+  std::size_t& open_count(ReservationRef key);
 
   void report(AuditCheck check, std::string detail);
   [[nodiscard]] double now() const;
@@ -135,14 +151,18 @@ class InvariantAuditor final : public net::LedgerObserver, public core::Admissio
 
   net::BandwidthLedger* ledger_ = nullptr;
   std::vector<net::Bandwidth> shadow_reserved_;         // per directed link
-  std::map<ReservationKey, std::size_t> open_;          // reserve/release pairing
+  std::map<ReservationKey, std::size_t, ReservationOrder> open_;  // reserve/release pairing
 
   sim::Simulation* simulation_ = nullptr;
   des::EventCategory category_;  // "audit.checkpoint" kernel tag
   std::vector<const signaling::SoftStateManager*> soft_state_;
+  // check_weights()'s buffers, reused across checkpoints.
+  std::vector<std::pair<net::NodeId, const core::DestinationSelector*>> selectors_;
+  std::vector<double> weights_;
 
-  // Per-source tried-set of the request currently inside the DAC loop.
-  std::unordered_map<net::NodeId, std::unordered_set<std::size_t>> in_flight_;
+  // Members the request inside the DAC loop has tried. Requests run one at
+  // a time within the DES, so one list serves every AC-router.
+  std::vector<std::size_t> tried_;
 };
 
 }  // namespace anyqos::audit

@@ -77,9 +77,8 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
     }
     // Snapshot the weight vector the selection just drew from, before
     // report() lets the selector learn from the outcome.
-    std::vector<double> weight_snapshot;
     if (tracer != nullptr) {
-      weight_snapshot = selector_->weights();
+      selector_->fill_weights(weight_snapshot_);
     }
     const net::Path& route = routes_->route(source_, *index);
     const signaling::ReservationResult result = rsvp_->reserve(route, request.bandwidth_bps);
@@ -89,7 +88,7 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
     }
     if (tracer != nullptr) {
       const std::size_t budget = retrial_->max_attempts();
-      tracer->record_attempt(*index, group_->member(*index), std::move(weight_snapshot),
+      tracer->record_attempt(*index, group_->member(*index), weight_snapshot_,
                              route.hops(), result.bottleneck_bps, result.admitted,
                              result.blocking_link, result.messages, result.retransmits,
                              budget > decision.attempts ? budget - decision.attempts : 0);

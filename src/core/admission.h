@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/core/group.h"
 #include "src/core/retrial.h"
@@ -156,6 +157,8 @@ class AdmissionController {
   // admit()'s per-request tried mask, one flag per member. std::vector<bool>
   // is bit-packed and cannot view as span<const bool>.
   std::unique_ptr<bool[]> tried_;
+  // The traced attempt's weight snapshot, refilled in place per attempt.
+  std::vector<double> weight_snapshot_;
   AdmissionObserver* observer_ = nullptr;
   obs::DecisionTracer* tracer_ = nullptr;
   MemberGate* gate_ = nullptr;

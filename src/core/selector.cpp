@@ -7,6 +7,12 @@ namespace anyqos::core {
 
 void DestinationSelector::report(std::size_t /*index*/, bool /*admitted*/) {}
 
+std::vector<double> DestinationSelector::weights() const {
+  std::vector<double> out;
+  fill_weights(out);
+  return out;
+}
+
 SelectionAlgorithm parse_algorithm(const std::string& name) {
   if (name == "ED") {
     return SelectionAlgorithm::kEvenDistribution;

@@ -46,9 +46,14 @@ class DestinationSelector {
   /// `index`. Default: no-op (stateless algorithms).
   virtual void report(std::size_t index, bool admitted);
 
-  /// The weight vector the next selection would draw from (before masking).
-  /// Exposed for tests, examples, and monitoring.
-  [[nodiscard]] virtual std::vector<double> weights() const = 0;
+  /// Writes the weight vector the next selection would draw from (before
+  /// masking) into `out`, resized to the group size. Once `out` has that
+  /// capacity a snapshot allocates nothing, so tracing, monitoring and the
+  /// auditor keep one buffer each.
+  virtual void fill_weights(std::vector<double>& out) const = 0;
+
+  /// fill_weights() into a new vector, for tests and one-off reads.
+  [[nodiscard]] std::vector<double> weights() const;
 
   /// Algorithm label for reports (matches the paper's names).
   [[nodiscard]] virtual std::string name() const = 0;

@@ -53,7 +53,9 @@ std::optional<std::size_t> EvenDistributionSelector::select(std::span<const bool
   return sample_masked(weights_.values(), tried, masked_, rng);
 }
 
-std::vector<double> EvenDistributionSelector::weights() const { return weights_.values(); }
+void EvenDistributionSelector::fill_weights(std::vector<double>& out) const {
+  out = weights_.values();
+}
 
 // ---------------------------------------------------------------- WD/D+H
 
@@ -76,7 +78,7 @@ void DistanceHistorySelector::report(std::size_t index, bool admitted) {
   history_.record(index, admitted);
 }
 
-std::vector<double> DistanceHistorySelector::weights() const { return weights_; }
+void DistanceHistorySelector::fill_weights(std::vector<double>& out) const { out = weights_; }
 
 // ---------------------------------------------------------------- WD/D+B
 
@@ -126,13 +128,12 @@ std::optional<std::size_t> DistanceBandwidthSelector::select(std::span<const boo
   return sample_masked(drawn_, tried, masked_, rng);
 }
 
-std::vector<double> DistanceBandwidthSelector::weights() const {
-  std::vector<double> weights(distances_.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = probe_->peek_bandwidth(routes_->route(source_, i));
+void DistanceBandwidthSelector::fill_weights(std::vector<double>& out) const {
+  out.resize(distances_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = probe_->peek_bandwidth(routes_->route(source_, i));
   }
-  bandwidths_to_weights(weights);
-  return weights;
+  bandwidths_to_weights(out);
 }
 
 // ---------------------------------------------------------------- SP
@@ -157,11 +158,10 @@ std::optional<std::size_t> ShortestPathSelector::select(std::span<const bool> tr
   return std::nullopt;
 }
 
-std::vector<double> ShortestPathSelector::weights() const {
+void ShortestPathSelector::fill_weights(std::vector<double>& out) const {
   // Deterministic policy: all probability mass on the nearest member.
-  std::vector<double> w(group_size_, 0.0);
-  w[order_.front()] = 1.0;
-  return w;
+  out.assign(group_size_, 0.0);
+  out[order_.front()] = 1.0;
 }
 
 }  // namespace anyqos::core

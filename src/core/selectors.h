@@ -21,7 +21,7 @@ class EvenDistributionSelector final : public DestinationSelector {
   explicit EvenDistributionSelector(std::size_t group_size);
 
   std::optional<std::size_t> select(std::span<const bool> tried, des::RandomStream& rng) override;
-  [[nodiscard]] std::vector<double> weights() const override;
+  void fill_weights(std::vector<double>& out) const override;
   [[nodiscard]] std::string name() const override { return "ED"; }
 
  private:
@@ -37,7 +37,7 @@ class DistanceHistorySelector final : public DestinationSelector {
 
   std::optional<std::size_t> select(std::span<const bool> tried, des::RandomStream& rng) override;
   void report(std::size_t index, bool admitted) override;
-  [[nodiscard]] std::vector<double> weights() const override;
+  void fill_weights(std::vector<double>& out) const override;
   [[nodiscard]] std::string name() const override { return "WD/D+H"; }
 
   [[nodiscard]] const AdmissionHistory& history() const { return history_; }
@@ -52,8 +52,8 @@ class DistanceHistorySelector final : public DestinationSelector {
 
 /// WD/D+B (eqs. 11-12): weights recomputed from live route bottleneck
 /// bandwidth (via the probe service) over route distance at every selection.
-/// Only select() probes; weights() reads the same bottlenecks from the
-/// ledger without charging a message, so observers leave the signaling
+/// Only select() probes; fill_weights() reads the same bottlenecks from
+/// the ledger without charging a message, so observers leave the signaling
 /// tallies alone.
 class DistanceBandwidthSelector final : public DestinationSelector {
  public:
@@ -62,7 +62,7 @@ class DistanceBandwidthSelector final : public DestinationSelector {
                             net::Bandwidth flow_bandwidth);
 
   std::optional<std::size_t> select(std::span<const bool> tried, des::RandomStream& rng) override;
-  [[nodiscard]] std::vector<double> weights() const override;
+  void fill_weights(std::vector<double>& out) const override;
   [[nodiscard]] std::string name() const override { return "WD/D+B"; }
 
  private:
@@ -89,7 +89,7 @@ class ShortestPathSelector final : public DestinationSelector {
   ShortestPathSelector(net::NodeId source, const net::RouteTable& routes);
 
   std::optional<std::size_t> select(std::span<const bool> tried, des::RandomStream& rng) override;
-  [[nodiscard]] std::vector<double> weights() const override;
+  void fill_weights(std::vector<double>& out) const override;
   [[nodiscard]] std::string name() const override { return "SP"; }
 
  private:

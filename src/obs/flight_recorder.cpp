@@ -1,10 +1,9 @@
 #include "src/obs/flight_recorder.h"
 
-#include <cmath>
-#include <cstdio>
+#include <charconv>
 #include <ostream>
-#include <utility>
 
+#include "src/obs/jsonl.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
@@ -12,14 +11,21 @@ namespace anyqos::obs {
 
 namespace {
 
-void write_number(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "null";
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
+/// "%.0f" through std::to_chars, which prints the same text.
+void append_fixed0(std::string& line, double value) {
+  char buffer[330];  // DBL_MAX has 309 integral digits
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                       std::chars_format::fixed, 0);
+  (void)ec;
+  line.append(buffer, end);
+}
+
+void append_event_head(std::string& line, double time, std::string_view kind) {
+  line += "{\"flight\":\"event\",\"t\":";
+  jsonl::append_number(line, time);
+  line += ",\"kind\":\"";
+  util::append_json_escaped(line, kind);
+  line += "\",\"detail\":\"";
 }
 
 }  // namespace
@@ -29,49 +35,78 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options) : options_(options
 }
 
 void FlightRecorder::RingSink::on_attempt(const AttemptSpan& span) {
-  owner_->push(span);
+  owner_->push(Slot::Kind::kAttempt).attempt = span;
   if (owner_->forward_ != nullptr) {
     owner_->forward_->on_attempt(span);
   }
 }
 
 void FlightRecorder::RingSink::on_decision(const DecisionSpan& span) {
-  owner_->push(span);
+  owner_->push(Slot::Kind::kDecision).decision = span;
   if (owner_->forward_ != nullptr) {
     owner_->forward_->on_decision(span);
   }
 }
 
 void FlightRecorder::note(double time, std::string_view kind, std::string_view detail) {
-  FlightNote event;
-  event.time = time;
-  event.kind = std::string(kind);
-  event.detail = std::string(detail);
-  push(std::move(event));
+  FlightNote& note = push(Slot::Kind::kNote).note;
+  note.time = time;
+  note.kind.assign(kind);
+  note.detail.assign(detail);
 }
 
-void FlightRecorder::push(Entry entry) {
-  if (ring_.size() < options_.depth) {
-    ring_.push_back(std::move(entry));
-    return;
-  }
-  ring_[next_] = std::move(entry);
-  next_ = (next_ + 1) % options_.depth;
-  wrapped_ = true;
-}
+void FlightRecorder::note(const FlowNote& event) { push(Slot::Kind::kFlow).flow = event; }
 
-template <typename Fn>
-void FlightRecorder::for_each_entry(Fn&& fn) const {
-  if (!wrapped_ && next_ == 0) {
-    for (const Entry& entry : ring_) {
-      fn(entry);
+FlightRecorder::Slot& FlightRecorder::push(Slot::Kind kind) {
+  Slot* slot = nullptr;
+  if (size_ < options_.depth) {
+    if (ring_.size() == size_) {
+      ring_.emplace_back();
     }
-    return;
+    slot = &ring_[size_++];
+  } else {
+    slot = &ring_[next_];
+    next_ = (next_ + 1) % options_.depth;
   }
-  // The ring has wrapped (or rotated): next_ indexes the oldest entry.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    fn(ring_[(next_ + i) % ring_.size()]);
+  slot->kind = kind;
+  return *slot;
+}
+
+void FlightRecorder::append_line(const Slot& slot) {
+  switch (slot.kind) {
+    case Slot::Kind::kAttempt:
+      append_jsonl(snapshot_, slot.attempt);
+      return;
+    case Slot::Kind::kDecision:
+      append_jsonl(snapshot_, slot.decision);
+      return;
+    case Slot::Kind::kFlow: {
+      const FlowNote& event = slot.flow;
+      append_event_head(snapshot_, event.time, event.kind);
+      snapshot_ += "flow=";
+      jsonl::append_integer(snapshot_, event.flow);
+      snapshot_ += " src=";
+      jsonl::append_integer(snapshot_, event.source);
+      snapshot_ += " dst=";
+      if (event.destination == net::kInvalidNode) {
+        snapshot_ += '-';
+      } else {
+        jsonl::append_integer(snapshot_, event.destination);
+      }
+      snapshot_ += " attempts=";
+      jsonl::append_integer(snapshot_, event.attempts);
+      snapshot_ += " bw_bps=";
+      append_fixed0(snapshot_, event.bandwidth_bps);
+      snapshot_ += " active=";
+      jsonl::append_integer(snapshot_, event.active_flows);
+      break;
+    }
+    case Slot::Kind::kNote:
+      append_event_head(snapshot_, slot.note.time, slot.note.kind);
+      util::append_json_escaped(snapshot_, slot.note.detail);
+      break;
   }
+  snapshot_ += "\"}\n";
 }
 
 std::size_t FlightRecorder::trigger(double time, std::string_view reason) {
@@ -80,33 +115,27 @@ std::size_t FlightRecorder::trigger(double time, std::string_view reason) {
     return 0;
   }
   ++dumps_written_;
-  *out_ << "{\"flight\":\"snapshot\",\"reason\":\"" << util::json_escape(reason)
-        << "\",\"t\":";
-  write_number(*out_, time);
-  *out_ << ",\"seq\":" << dumps_written_ << ",\"entries\":" << ring_.size() << "}\n";
-  JsonlSpanSink spans(*out_);
-  std::size_t dumped = 0;
-  for_each_entry([&](const Entry& entry) {
-    ++dumped;
-    if (const auto* attempt = std::get_if<AttemptSpan>(&entry)) {
-      spans.on_attempt(*attempt);
-    } else if (const auto* decision = std::get_if<DecisionSpan>(&entry)) {
-      spans.on_decision(*decision);
-    } else {
-      const FlightNote& note = std::get<FlightNote>(entry);
-      *out_ << "{\"flight\":\"event\",\"t\":";
-      write_number(*out_, note.time);
-      *out_ << ",\"kind\":\"" << util::json_escape(note.kind) << "\",\"detail\":\""
-            << util::json_escape(note.detail) << "\"}\n";
-    }
-  });
-  return dumped;
+  snapshot_.clear();
+  snapshot_ += "{\"flight\":\"snapshot\",\"reason\":\"";
+  util::append_json_escaped(snapshot_, reason);
+  snapshot_ += "\",\"t\":";
+  jsonl::append_number(snapshot_, time);
+  snapshot_ += ",\"seq\":";
+  jsonl::append_integer(snapshot_, dumps_written_);
+  snapshot_ += ",\"entries\":";
+  jsonl::append_integer(snapshot_, size_);
+  snapshot_ += "}\n";
+  // Oldest first: next_ is 0 until the ring is full, then the oldest slot.
+  for (std::size_t i = 0; i < size_; ++i) {
+    append_line(ring_[(next_ + i) % size_]);
+  }
+  out_->write(snapshot_.data(), static_cast<std::streamsize>(snapshot_.size()));
+  return size_;
 }
 
 void FlightRecorder::clear() {
-  ring_.clear();
+  size_ = 0;
   next_ = 0;
-  wrapped_ = false;
 }
 
 }  // namespace anyqos::obs

@@ -12,20 +12,23 @@
 // second collection path: span_sink() is a SpanSink the DecisionTracer
 // writes into (optionally teeing to a downstream sink such as a JSONL
 // file), and note() accepts the flow/link/member events the simulation
-// already assembles for its trace stream.
+// already emits for its trace stream.
 //
 // Cost discipline: like the no-sink span path, a recorder that is not
 // threaded into the simulation costs nothing — every producer checks its
-// config pointer first. Snapshots are bounded twice: the ring holds at most
-// `depth` entries and at most `max_dumps` snapshots are written per run
-// (later triggers are still counted, so the tally stays honest).
+// config pointer first. An attached recorder formats nothing and, once
+// warm, allocates nothing per event: flow events enter the ring as raw
+// FlowNote values, every slot keeps the storage (weights, strings) its
+// earlier entries left, and all text is built by trigger(). Snapshots are
+// bounded twice: the ring holds at most `depth` entries and at most
+// `max_dumps` snapshots are written per run (later triggers are still
+// counted, so the tally stays honest).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "src/obs/span.h"
@@ -40,12 +43,26 @@ struct FlightRecorderOptions {
   std::size_t max_dumps = 16;
 };
 
-/// One annotated model event in the ring (anything that is not a span):
-/// flow admissions/drops, link outages, member churn.
+/// One free-form model event in the ring, e.g. a recovery give-up.
 struct FlightNote {
   double time = 0.0;
-  std::string kind;    ///< e.g. "dropped", "link_down", "member_down"
+  std::string kind;    ///< e.g. "retransmit_exhaustion", "orphan_expiry"
   std::string detail;  ///< free-form context assembled by the producer
+};
+
+/// One event of the simulation's flow trace (admissions, drops, link and
+/// member changes), kept raw. trigger() renders its detail as
+/// "flow=F src=S dst=D attempts=A bw_bps=B active=N": B with "%.0f", D as
+/// "-" for kInvalidNode.
+struct FlowNote {
+  double time = 0.0;
+  std::string_view kind;  ///< static name, e.g. "ADMITTED"; must outlive the recorder
+  std::uint64_t flow = 0;
+  net::NodeId source = net::kInvalidNode;
+  net::NodeId destination = net::kInvalidNode;
+  std::size_t attempts = 0;
+  double bandwidth_bps = 0.0;
+  std::size_t active_flows = 0;
 };
 
 /// Bounded black-box recorder; see the file comment for the contract.
@@ -62,8 +79,10 @@ class FlightRecorder {
   /// bounded flight ring from one tracer.
   void set_forward(SpanSink* sink) { forward_ = sink; }
 
-  /// Appends one model event to the ring.
+  /// Appends one free-form model event to the ring.
   void note(double time, std::string_view kind, std::string_view detail);
+  /// Appends one flow-trace event to the ring, formatting nothing.
+  void note(const FlowNote& event);
 
   /// Snapshot destination (nullptr detaches: triggers only count). `out`
   /// must outlive the recorder or be detached first.
@@ -77,7 +96,7 @@ class FlightRecorder {
   /// triggers each see the full causal window.
   std::size_t trigger(double time, std::string_view reason);
 
-  [[nodiscard]] std::size_t entries() const { return ring_.size(); }
+  [[nodiscard]] std::size_t entries() const { return size_; }
   [[nodiscard]] std::uint64_t triggers() const { return triggers_; }
   [[nodiscard]] std::uint64_t dumps_written() const { return dumps_written_; }
   [[nodiscard]] const FlightRecorderOptions& options() const { return options_; }
@@ -86,7 +105,16 @@ class FlightRecorder {
   void clear();
 
  private:
-  using Entry = std::variant<AttemptSpan, DecisionSpan, FlightNote>;
+  /// A ring slot holds one entry of each kind and a tag for the live one,
+  /// so rewriting a slot reuses whatever storage earlier entries left.
+  struct Slot {
+    enum class Kind : std::uint8_t { kAttempt, kDecision, kFlow, kNote };
+    Kind kind = Kind::kNote;
+    AttemptSpan attempt;
+    DecisionSpan decision;
+    FlowNote flow;
+    FlightNote note;
+  };
 
   class RingSink final : public SpanSink {
    public:
@@ -98,18 +126,20 @@ class FlightRecorder {
     FlightRecorder* owner_;
   };
 
-  void push(Entry entry);
-  /// Visits ring entries oldest-first.
-  template <typename Fn>
-  void for_each_entry(Fn&& fn) const;
+  /// The slot the next entry goes into, tagged `kind`; overwrites the
+  /// oldest entry once the ring is full.
+  Slot& push(Slot::Kind kind);
+  /// Appends the snapshot line of `slot`'s live entry to snapshot_.
+  void append_line(const Slot& slot);
 
   FlightRecorderOptions options_;
   RingSink sink_{*this};
   SpanSink* forward_ = nullptr;
   std::ostream* out_ = nullptr;
-  std::vector<Entry> ring_;    // circular once full
-  std::size_t next_ = 0;       // oldest entry when the ring has wrapped
-  bool wrapped_ = false;
+  std::vector<Slot> ring_;  // grows to depth, then circular; never shrinks
+  std::size_t size_ = 0;    // live entries
+  std::size_t next_ = 0;    // oldest entry (and next write) once full
+  std::string snapshot_;    // trigger()'s text, reused across dumps
   std::uint64_t triggers_ = 0;
   std::uint64_t dumps_written_ = 0;
 };

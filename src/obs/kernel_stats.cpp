@@ -1,12 +1,12 @@
 #include "src/obs/kernel_stats.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
 #include "src/des/simulator.h"
 #include "src/util/require.h"
+#include "src/util/strings.h"
 
 namespace anyqos::obs {
 
@@ -24,9 +24,7 @@ void write_number(std::ostream& out, double value) {
     out << static_cast<long long>(value);
     return;
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
+  out << util::format_g17(value).view();
 }
 
 void write_hist(std::ostream& out, const KernelStats::BucketCounts& hist) {

@@ -1,6 +1,5 @@
 #include "src/obs/profiler.h"
 
-#include <cstdio>
 #include <ostream>
 
 #include "src/des/simulator.h"
@@ -19,11 +18,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-void write_double(std::ostream& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
-}
+void write_double(std::ostream& out, double value) { out << util::format_g17(value).view(); }
 
 }  // namespace
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "src/util/require.h"
@@ -68,9 +67,7 @@ std::string render_number(double value) {
   if (value == std::floor(value) && std::abs(value) < 1e15) {
     return std::to_string(static_cast<long long>(value));
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return std::string(buffer);
+  return std::string(util::format_g17(value).view());
 }
 
 // Canonical key for a sorted label set: k1="v1",k2="v2" (escaped).

@@ -1,27 +1,12 @@
 #include "src/obs/span.h"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 
+#include "src/obs/jsonl.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
 namespace anyqos::obs {
-
-namespace {
-
-void write_number(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "null";
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
-}
-
-}  // namespace
 
 std::vector<AttemptSpan> MemorySpanSink::attempts_for(std::uint64_t request_id) const {
   std::vector<AttemptSpan> children;
@@ -38,48 +23,92 @@ void MemorySpanSink::clear() {
   decisions_.clear();
 }
 
+void append_jsonl(std::string& line, const AttemptSpan& span) {
+  line += "{\"span\":\"attempt\",\"request\":";
+  jsonl::append_integer(line, span.request_id);
+  line += ",\"id\":";
+  jsonl::append_integer(line, span.span_id);
+  line += ",\"attempt\":";
+  jsonl::append_integer(line, span.attempt_number);
+  line += ",\"time\":";
+  jsonl::append_number(line, span.time);
+  line += ",\"member\":";
+  jsonl::append_integer(line, span.member_index);
+  line += ",\"node\":";
+  jsonl::append_integer(line, span.member_node);
+  line += ",\"weights\":[";
+  for (std::size_t i = 0; i < span.weights.size(); ++i) {
+    if (i > 0) {
+      line += ',';
+    }
+    jsonl::append_number(line, span.weights[i]);
+  }
+  line += "],\"hops\":";
+  jsonl::append_integer(line, span.route_hops);
+  line += ",\"bottleneck_bps\":";
+  jsonl::append_number(line, span.bottleneck_bps);
+  line += ",\"admitted\":";
+  jsonl::append_bool(line, span.admitted);
+  line += ",\"blocking_link\":";
+  if (span.blocking_link.has_value()) {
+    jsonl::append_integer(line, *span.blocking_link);
+  } else {
+    line += "null";
+  }
+  line += ",\"messages\":";
+  jsonl::append_integer(line, span.messages);
+  line += ",\"retransmits\":";
+  jsonl::append_integer(line, span.retransmits);
+  line += ",\"retries_remaining\":";
+  jsonl::append_integer(line, span.retries_remaining);
+  line += "}\n";
+}
+
+void append_jsonl(std::string& line, const DecisionSpan& span) {
+  line += "{\"span\":\"decision\",\"request\":";
+  jsonl::append_integer(line, span.request_id);
+  line += ",\"time\":";
+  jsonl::append_number(line, span.start_time);
+  line += ",\"source\":";
+  jsonl::append_integer(line, span.source);
+  line += ",\"bandwidth_bps\":";
+  jsonl::append_number(line, span.bandwidth_bps);
+  line += ",\"algorithm\":\"";
+  util::append_json_escaped(line, span.algorithm);
+  line += "\",\"admitted\":";
+  jsonl::append_bool(line, span.admitted);
+  line += ",\"destination\":";
+  if (span.destination_index.has_value()) {
+    jsonl::append_integer(line, *span.destination_index);
+  } else {
+    line += "null";
+  }
+  line += ",\"attempts\":";
+  jsonl::append_integer(line, span.attempts);
+  line += ",\"messages\":";
+  jsonl::append_integer(line, span.messages);
+  line += ",\"max_attempts\":";
+  jsonl::append_integer(line, span.max_attempts);
+  line += ",\"group_size\":";
+  jsonl::append_integer(line, span.group_size);
+  line += "}\n";
+}
+
 JsonlSpanSink::JsonlSpanSink(std::ostream& out) : out_(&out) {}
 
 void JsonlSpanSink::on_attempt(const AttemptSpan& span) {
-  *out_ << "{\"span\":\"attempt\",\"request\":" << span.request_id
-        << ",\"id\":" << span.span_id << ",\"attempt\":" << span.attempt_number
-        << ",\"time\":";
-  write_number(*out_, span.time);
-  *out_ << ",\"member\":" << span.member_index << ",\"node\":" << span.member_node
-        << ",\"weights\":[";
-  for (std::size_t i = 0; i < span.weights.size(); ++i) {
-    if (i > 0) {
-      *out_ << ',';
-    }
-    write_number(*out_, span.weights[i]);
-  }
-  *out_ << "],\"hops\":" << span.route_hops << ",\"bottleneck_bps\":";
-  write_number(*out_, span.bottleneck_bps);
-  *out_ << ",\"admitted\":" << (span.admitted ? "true" : "false") << ",\"blocking_link\":";
-  if (span.blocking_link.has_value()) {
-    *out_ << *span.blocking_link;
-  } else {
-    *out_ << "null";
-  }
-  *out_ << ",\"messages\":" << span.messages << ",\"retransmits\":" << span.retransmits
-        << ",\"retries_remaining\":" << span.retries_remaining << "}\n";
+  append_jsonl(line_, span);
+  write_line();
 }
 
 void JsonlSpanSink::on_decision(const DecisionSpan& span) {
-  *out_ << "{\"span\":\"decision\",\"request\":" << span.request_id << ",\"time\":";
-  write_number(*out_, span.start_time);
-  *out_ << ",\"source\":" << span.source << ",\"bandwidth_bps\":";
-  write_number(*out_, span.bandwidth_bps);
-  *out_ << ",\"algorithm\":\"" << util::json_escape(span.algorithm)
-        << "\",\"admitted\":" << (span.admitted ? "true" : "false") << ",\"destination\":";
-  if (span.destination_index.has_value()) {
-    *out_ << *span.destination_index;
-  } else {
-    *out_ << "null";
-  }
-  *out_ << ",\"attempts\":" << span.attempts << ",\"messages\":" << span.messages
-        << ",\"max_attempts\":" << span.max_attempts << ",\"group_size\":" << span.group_size
-        << "}\n";
+  append_jsonl(line_, span);
+  write_line();
+}
+
+void JsonlSpanSink::write_line() {
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  line_.clear();
 }
 
 void DecisionTracer::begin_request(std::uint64_t request_id, net::NodeId source,
@@ -99,20 +128,20 @@ void DecisionTracer::begin_request(std::uint64_t request_id, net::NodeId source,
 }
 
 void DecisionTracer::record_attempt(std::size_t member_index, net::NodeId member_node,
-                                    std::vector<double> weights, std::size_t route_hops,
+                                    const std::vector<double>& weights, std::size_t route_hops,
                                     net::Bandwidth bottleneck_bps, bool admitted,
                                     std::optional<net::LinkId> blocking_link,
                                     std::uint64_t messages, std::uint64_t retransmits,
                                     std::size_t retries_remaining) {
   util::require(in_request_, "attempt span outside a request span");
-  AttemptSpan span;
+  AttemptSpan& span = attempt_;
   span.request_id = current_.request_id;
   span.span_id = next_span_id_++;
   span.attempt_number = ++current_.attempts;
   span.time = now();
   span.member_index = member_index;
   span.member_node = member_node;
-  span.weights = std::move(weights);
+  span.weights = weights;  // reuses the capacity earlier attempts left
   span.route_hops = route_hops;
   span.bottleneck_bps = bottleneck_bps;
   span.admitted = admitted;

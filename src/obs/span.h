@@ -12,7 +12,9 @@
 //
 // Cost discipline: the span hot path allocates nothing when no sink is
 // attached — AdmissionController checks DecisionTracer::active() before
-// collecting anything (weight snapshots included).
+// collecting anything (weight snapshots included). With a sink it allocates
+// nothing once warm either: the controller snapshots weights into a buffer
+// it keeps, and the tracer refills one AttemptSpan per attempt.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +91,14 @@ class MemorySpanSink final : public SpanSink {
   std::vector<DecisionSpan> decisions_;
 };
 
-/// Streams spans as JSONL: one JSON object per span per line, tagged
-/// {"span":"attempt"|"decision",...}. `out` must outlive the sink.
+/// Appends `span`'s JSONL line, newline included: one JSON object tagged
+/// {"span":"attempt",...}. Shared by JsonlSpanSink and flight snapshots.
+void append_jsonl(std::string& line, const AttemptSpan& span);
+/// The same for a root span, tagged {"span":"decision",...}.
+void append_jsonl(std::string& line, const DecisionSpan& span);
+
+/// Streams spans as JSONL, one line per span (see append_jsonl). `out`
+/// must outlive the sink.
 class JsonlSpanSink final : public SpanSink {
  public:
   explicit JsonlSpanSink(std::ostream& out);
@@ -99,7 +107,10 @@ class JsonlSpanSink final : public SpanSink {
   void on_decision(const DecisionSpan& span) override;
 
  private:
+  void write_line();
+
   std::ostream* out_;
+  std::string line_;  // reused for every span
 };
 
 /// The glue between AdmissionController and a SpanSink: assembles spans
@@ -124,9 +135,9 @@ class DecisionTracer {
                      net::Bandwidth bandwidth_bps, std::string algorithm,
                      std::size_t max_attempts, std::size_t group_size);
   /// Completes one attempt child span; `weights` is the selector's vector at
-  /// selection time and `retries_remaining` the budget left after it.
+  /// selection time (copied) and `retries_remaining` the budget left after it.
   void record_attempt(std::size_t member_index, net::NodeId member_node,
-                      std::vector<double> weights, std::size_t route_hops,
+                      const std::vector<double>& weights, std::size_t route_hops,
                       net::Bandwidth bottleneck_bps, bool admitted,
                       std::optional<net::LinkId> blocking_link, std::uint64_t messages,
                       std::uint64_t retransmits, std::size_t retries_remaining);
@@ -142,6 +153,7 @@ class DecisionTracer {
   SpanSink* sink_ = nullptr;
   std::function<double()> clock_;
   DecisionSpan current_;
+  AttemptSpan attempt_;  // refilled per attempt, so its weights keep capacity
   bool in_request_ = false;
   std::uint64_t next_span_id_ = 1;
   std::uint64_t spans_emitted_ = 0;

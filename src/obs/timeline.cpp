@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <utility>
@@ -26,9 +25,7 @@ void write_number(std::ostream& out, double value) {
     out << static_cast<long long>(value);
     return;
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
+  out << util::format_g17(value).view();
 }
 
 }  // namespace

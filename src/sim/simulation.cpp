@@ -255,17 +255,16 @@ void Simulation::set_admission_observer(core::AdmissionObserver* observer) {
   }
 }
 
-std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>
-Simulation::active_selectors() const {
-  std::vector<std::pair<net::NodeId, const core::DestinationSelector*>> selectors;
+void Simulation::active_selectors(
+    std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>& out) const {
+  out.clear();
   for (const GroupState& state : groups_) {
     for (const auto& controller : state.controllers) {
       if (controller != nullptr) {
-        selectors.emplace_back(controller->source(), &controller->selector());
+        out.emplace_back(controller->source(), &controller->selector());
       }
     }
   }
-  return selectors;
 }
 
 void Simulation::record_active_flows() {
@@ -291,23 +290,15 @@ void Simulation::emit_trace(TraceEventKind kind, std::uint64_t flow, net::NodeId
     config_.trace->record(event);
   }
   if (flight_ != nullptr) {
-    std::string detail = "flow=";
-    detail += std::to_string(event.flow);
-    detail += " src=";
-    detail += std::to_string(event.source);
-    detail += " dst=";
-    if (event.destination == net::kInvalidNode) {
-      detail += '-';
-    } else {
-      detail += std::to_string(event.destination);
-    }
-    detail += " attempts=";
-    detail += std::to_string(event.attempts);
-    detail += " bw_bps=";
-    detail += util::format_fixed(event.bandwidth_bps, 0);
-    detail += " active=";
-    detail += std::to_string(event.active_flows);
-    flight_->note(event.time, to_string(kind), detail);
+    // Raw into the ring; the recorder builds the text only for a snapshot.
+    flight_->note(obs::FlowNote{.time = event.time,
+                                .kind = to_string(kind),
+                                .flow = event.flow,
+                                .source = event.source,
+                                .destination = event.destination,
+                                .attempts = event.attempts,
+                                .bandwidth_bps = event.bandwidth_bps,
+                                .active_flows = event.active_flows});
   }
 }
 
@@ -405,9 +396,9 @@ void Simulation::wire_timeline() {
           if (controller == nullptr) {
             continue;
           }
-          const std::vector<double> weights = controller->selector().weights();
-          if (index < weights.size()) {
-            sum += weights[index];
+          controller->selector().fill_weights(weight_scratch_);
+          if (index < weight_scratch_.size()) {
+            sum += weight_scratch_[index];
             ++sources;
           }
         }

@@ -372,11 +372,12 @@ class Simulation {
   /// GDI and other policies have no per-source controllers and never call it.
   void set_admission_observer(core::AdmissionObserver* observer);
 
-  /// The per-source selectors instantiated so far, every group's (DAC runs
-  /// only; lazily created on first request from a source). For monitoring
-  /// and auditing.
-  [[nodiscard]] std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>
-  active_selectors() const;
+  /// Replaces `out` with the per-source selectors instantiated so far,
+  /// every group's (DAC runs only; lazily created on first request from a
+  /// source). For monitoring and auditing; a caller that keeps `out`
+  /// checks them periodically without allocating.
+  void active_selectors(
+      std::vector<std::pair<net::NodeId, const core::DestinationSelector*>>& out) const;
 
   /// The simulation kernel — exposed so instrumentation (e.g. the
   /// auditor's checkpoints) can be attached *before* run(). Scheduling model
@@ -557,6 +558,7 @@ class Simulation {
   des::EventCategory cat_reconverge_;
   des::EventCategory cat_ops_poll_;
   std::vector<obs::Timeline::ColumnId> link_hwm_columns_;  // by LinkId (timeline runs)
+  std::vector<double> weight_scratch_;  // the timeline's weight gauges snapshot here
   std::uint64_t next_request_id_ = 0;  // arrival sequence; span/trace join key
   std::size_t ops_replay_next_ = 0;    // first unapplied config_.ops_replay entry
   std::uint64_t ops_directives_applied_ = 0;

@@ -7,7 +7,7 @@
 
 namespace anyqos::sim {
 
-std::string to_string(TraceEventKind kind) {
+std::string_view to_string(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kAdmitted:
       return "ADMITTED";

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/net/graph.h"
@@ -31,7 +32,9 @@ enum class TraceEventKind : std::uint8_t {
   kRepairFailed, // a broken flow could not be repaired and was dropped
 };
 
-std::string to_string(TraceEventKind kind);
+/// The kind's static name ("ADMITTED", ...), as trace CSVs and flight
+/// snapshots spell it.
+std::string_view to_string(TraceEventKind kind);
 
 /// One trace record. Fields not applicable to the kind are left at defaults
 /// (e.g. destination for kLinkDown).

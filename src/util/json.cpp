@@ -1,7 +1,6 @@
 #include "src/util/json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdint>
 #include <stdexcept>
 
@@ -405,9 +404,7 @@ std::string json_number(double value) {
   if (value == std::floor(value) && std::abs(value) < 1e15) {
     return std::to_string(static_cast<long long>(value));
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  return std::string(format_g17(value).view());
 }
 
 void JsonValue::write(std::string& out, bool pretty, int indent) const {

@@ -77,9 +77,23 @@ std::string format_fixed(double value, int digits) {
   return std::string(buffer);
 }
 
+NumberText format_g17(double value) {
+  NumberText text;
+  const auto [end, ec] = std::to_chars(text.chars.data(), text.chars.data() + text.chars.size(),
+                                       value, std::chars_format::general, 17);
+  (void)ec;  // 32 chars hold the longest %.17g text (24)
+  text.size = static_cast<std::size_t>(end - text.chars.data());
+  return text;
+}
+
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
+  append_json_escaped(out, text);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '\\':
@@ -114,7 +128,6 @@ std::string json_escape(std::string_view text) {
         break;
     }
   }
-  return out;
 }
 
 }  // namespace anyqos::util

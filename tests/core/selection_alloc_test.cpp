@@ -6,17 +6,26 @@
 //  - a warm selector of every algorithm allocates nothing in select() and
 //    report();
 //  - a warm AdmissionController allocates exactly once per admission over a
-//    non-empty route, and nothing for a rejection or a release.
+//    non-empty route, and nothing for a rejection or a release;
+//  - the chaos oracle's planes (spans in a flight recorder's ring, the
+//    flight flow notes, the invariant auditor) allocate nothing per request
+//    once warm, and a warm auditor checkpoint allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <span>
+#include <sstream>
 #include <vector>
 
+#include "src/audit/auditor.h"
 #include "src/core/admission.h"
 #include "src/net/topologies.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/span.h"
+#include "src/sim/experiment.h"
+#include "src/sim/simulation.h"
 
 namespace {
 
@@ -160,6 +169,79 @@ TEST(SelectionAllocations, WarmAdmissionAllocatesOnlyTheRouteCopy) {
     EXPECT_GT(admitted, 0u) << to_string(algorithm);
     EXPECT_GT(rejected, 0u) << to_string(algorithm);
   }
+}
+
+// Heap allocations of one fault-free, loss-free paper-model run of
+// `measure_s` simulated seconds, counted around run(). With `planes` the run
+// carries what the chaos oracle attaches: a tracer writing into a flight
+// recorder's ring, the recorder's flow notes, and a throwing auditor. The
+// auditor's periodic checkpoint is left off: each one is a kernel event,
+// and the kernel allocates per event whoever schedules it.
+std::size_t run_allocations(SelectionAlgorithm algorithm, double measure_s, bool planes) {
+  const sim::ExperimentModel model = sim::paper_model();
+  sim::SimulationConfig config = model.base_config(25.0);
+  config.algorithm = algorithm;
+  config.max_tries = 2;
+  config.warmup_s = 0.0;
+  config.measure_s = measure_s;
+  config.seed = 5;
+  obs::DecisionTracer tracer;
+  obs::FlightRecorder recorder;
+  std::ostringstream dumps;
+  if (planes) {
+    recorder.set_output(&dumps);
+    tracer.set_sink(&recorder.span_sink());
+    config.tracer = &tracer;
+    config.flight_recorder = &recorder;
+  }
+  sim::Simulation simulation(model.topology, config);
+  audit::AuditorOptions options;
+  options.checkpoint_interval_s = 0.0;
+  audit::InvariantAuditor auditor(options);  // detaches before the simulation goes
+  if (planes) {
+    auditor.attach(simulation);
+  }
+  const std::size_t before = allocations;
+  const sim::SimulationResult result = simulation.run();
+  const std::size_t counted = allocations - before;
+  EXPECT_GT(result.offered, 0u);
+  if (planes) {
+    EXPECT_EQ(recorder.triggers(), 0u);  // fault-free: nothing dumps
+    EXPECT_GT(tracer.spans_emitted(), 0u);
+  }
+  return counted;
+}
+
+TEST(SelectionAllocations, WarmOraclePlanesAllocateNothingPerRequest) {
+  // 1,000 s carry ~25,000 requests past the warm-up of every ring slot,
+  // reservation key and reusable buffer; doubling the run then doubles the
+  // requests but must not change what the planes add.
+  constexpr double kSeconds = 1'000.0;
+  for (const SelectionAlgorithm algorithm : kAlgorithms) {
+    const std::size_t planes_once = run_allocations(algorithm, kSeconds, true) -
+                                    run_allocations(algorithm, kSeconds, false);
+    const std::size_t planes_twice = run_allocations(algorithm, 2 * kSeconds, true) -
+                                     run_allocations(algorithm, 2 * kSeconds, false);
+    EXPECT_EQ(planes_twice, planes_once) << to_string(algorithm);
+  }
+}
+
+TEST(SelectionAllocations, WarmAuditorCheckpointAllocatesNothing) {
+  const sim::ExperimentModel model = sim::paper_model();
+  sim::SimulationConfig config = model.base_config(25.0);
+  config.algorithm = SelectionAlgorithm::kDistanceBandwidth;
+  config.warmup_s = 0.0;
+  config.measure_s = 500.0;
+  sim::Simulation simulation(model.topology, config);
+  audit::AuditorOptions options;
+  options.checkpoint_interval_s = 0.0;
+  audit::InvariantAuditor auditor(options);
+  auditor.attach(simulation);
+  (void)simulation.run();
+  EXPECT_EQ(auditor.checkpoint(500.0), 0u);  // warm-up: sizes the buffers
+  const std::size_t before = allocations;
+  EXPECT_EQ(auditor.checkpoint(500.0), 0u);
+  EXPECT_EQ(allocations - before, 0u);
 }
 
 }  // namespace

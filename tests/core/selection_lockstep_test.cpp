@@ -138,7 +138,7 @@ class Ed final : public DestinationSelector {
   std::optional<std::size_t> select(std::span<const bool> tried, des::RandomStream& rng) override {
     return sample_masked(weights_, tried, rng);
   }
-  [[nodiscard]] std::vector<double> weights() const override { return weights_; }
+  void fill_weights(std::vector<double>& out) const override { out = weights_; }
   [[nodiscard]] std::string name() const override { return "ED"; }
 
  private:
@@ -158,7 +158,7 @@ class Wdh final : public DestinationSelector {
   void report(std::size_t index, bool admitted) override {
     history_[index] = admitted ? 0 : history_[index] + 1;
   }
-  [[nodiscard]] std::vector<double> weights() const override { return weights_; }
+  void fill_weights(std::vector<double>& out) const override { out = weights_; }
   [[nodiscard]] std::string name() const override { return "WD/D+H"; }
 
  private:
@@ -180,7 +180,7 @@ class Wdb final : public DestinationSelector {
   std::optional<std::size_t> select(std::span<const bool> tried, des::RandomStream& rng) override {
     return sample_masked(current_weights(), tried, rng);
   }
-  [[nodiscard]] std::vector<double> weights() const override { return current_weights(); }
+  void fill_weights(std::vector<double>& out) const override { out = current_weights(); }
   [[nodiscard]] std::string name() const override { return "WD/D+B"; }
 
  private:

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/obs/span.h"
 
@@ -102,6 +103,69 @@ TEST(FlightRecorder, SnapshotCarriesHeaderSpansAndEvents) {
   out.str("");
   EXPECT_EQ(recorder.trigger(14.0, "again"), 3u);
   EXPECT_NE(out.str().find("\"seq\":2"), std::string::npos);
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+// Flow events enter the ring raw and trigger() renders them: the detail text
+// is pinned here whole, "%.0f" rounding and the "-" of a missing destination
+// included. Each slot held another kind of entry before, and a slot that
+// held a flow event later dumps the span written over it.
+TEST(FlightRecorder, FlowEventsRenderTheirDetailAtDump) {
+  FlightRecorder recorder(FlightRecorderOptions{4, 16});
+  AttemptSpan attempt = attempt_span(1);
+  attempt.weights = {0.25, 0.75};
+  recorder.span_sink().on_attempt(attempt);
+  recorder.span_sink().on_decision(decision_span(1));
+  recorder.note(0.5, "orphan_expiry", "session 3");
+  recorder.note(FlowNote{.time = 1.0, .kind = "ADMITTED", .flow = 7, .source = 3,
+                         .destination = 12, .attempts = 2, .bandwidth_bps = 64'000.0,
+                         .active_flows = 41});
+  // The ring is full: these overwrite the attempt, decision and note slots.
+  recorder.note(FlowNote{.time = 2.25, .kind = "REJECTED", .flow = 8, .source = 5,
+                         .destination = net::kInvalidNode, .attempts = 2,
+                         .bandwidth_bps = 64'000.0, .active_flows = 41});
+  recorder.note(FlowNote{.time = 3.5, .kind = "ADMITTED", .flow = 9, .source = 1,
+                         .destination = 4, .attempts = 1, .bandwidth_bps = 1'234.5,
+                         .active_flows = 42});
+  recorder.note(FlowNote{.time = 4.0, .kind = "DEPARTED", .flow = 7, .source = 3,
+                         .destination = 12, .attempts = 2, .bandwidth_bps = 99.75,
+                         .active_flows = 41});
+
+  std::ostringstream out;
+  recorder.set_output(&out);
+  EXPECT_EQ(recorder.trigger(4.5, "probe"), 4u);
+  const std::vector<std::string> expected = {
+      R"({"flight":"snapshot","reason":"probe","t":4.5,"seq":1,"entries":4})",
+      R"({"flight":"event","t":1,"kind":"ADMITTED","detail":"flow=7 src=3 dst=12 attempts=2 bw_bps=64000 active=41"})",
+      R"({"flight":"event","t":2.25,"kind":"REJECTED","detail":"flow=8 src=5 dst=- attempts=2 bw_bps=64000 active=41"})",
+      // 1234.5 is a tie: "%.0f" rounds it to even.
+      R"({"flight":"event","t":3.5,"kind":"ADMITTED","detail":"flow=9 src=1 dst=4 attempts=1 bw_bps=1234 active=42"})",
+      R"({"flight":"event","t":4,"kind":"DEPARTED","detail":"flow=7 src=3 dst=12 attempts=2 bw_bps=100 active=41"})",
+  };
+  EXPECT_EQ(lines_of(out.str()), expected);
+
+  // The oldest slot held the first flow event; a span written over it
+  // dumps as the span, weights and all.
+  recorder.span_sink().on_attempt(attempt);
+  out.str("");
+  EXPECT_EQ(recorder.trigger(5.0, "again"), 4u);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines[1], expected[2]);
+  EXPECT_EQ(lines[3], expected[4]);
+  EXPECT_EQ(lines[4],
+            R"({"span":"attempt","request":1,"id":0,"attempt":0,"time":0,"member":0,)"
+            R"("node":4294967295,"weights":[0.25,0.75],"hops":0,"bottleneck_bps":0,)"
+            R"("admitted":false,"blocking_link":null,"messages":0,"retransmits":0,)"
+            R"("retries_remaining":0})");
 }
 
 TEST(FlightRecorder, SuppressesDumpsWithoutOutputOrPastTheCap) {

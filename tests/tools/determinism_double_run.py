@@ -15,6 +15,7 @@ Registered via ctest (see examples/CMakeLists.txt).
 import filecmp
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -117,10 +118,24 @@ def main():
     if not os.path.exists(dacsim):
         print(f"determinism_double_run: no such binary {dacsim}", file=sys.stderr)
         return 2
-    workdir = sys.argv[2] if len(sys.argv) > 2 else tempfile.mkdtemp(
-        prefix="anyqos-determinism-")
-    os.makedirs(workdir, exist_ok=True)
+    if len(sys.argv) > 2:
+        os.makedirs(sys.argv[2], exist_ok=True)
+        return double_run(dacsim, sys.argv[2])
+    # A work directory of our own goes away on success; a failure keeps it
+    # for inspection.
+    workdir = tempfile.mkdtemp(prefix="anyqos-determinism-")
+    status = 1
+    try:
+        status = double_run(dacsim, workdir)
+    finally:
+        if status == 0:
+            shutil.rmtree(workdir)
+        else:
+            print(f"determinism_double_run: artifacts kept in {workdir}", file=sys.stderr)
+    return status
 
+
+def double_run(dacsim, workdir):
     failures = []
     traces = {}
     labels = ("trace", "timeline", "kernel")

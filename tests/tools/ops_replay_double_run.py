@@ -16,6 +16,7 @@ Registered via ctest (see examples/CMakeLists.txt).
 
 import filecmp
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -71,10 +72,24 @@ def main():
     if not os.path.exists(dacsim):
         print(f"ops_replay_double_run: no such binary {dacsim}", file=sys.stderr)
         return 2
-    workdir = sys.argv[2] if len(sys.argv) > 2 else tempfile.mkdtemp(
-        prefix="anyqos-ops-replay-")
-    os.makedirs(workdir, exist_ok=True)
+    if len(sys.argv) > 2:
+        os.makedirs(sys.argv[2], exist_ok=True)
+        return double_replay(dacsim, sys.argv[2])
+    # A work directory of our own goes away on success; a failure keeps it
+    # for inspection.
+    workdir = tempfile.mkdtemp(prefix="anyqos-ops-replay-")
+    status = 1
+    try:
+        status = double_replay(dacsim, workdir)
+    finally:
+        if status == 0:
+            shutil.rmtree(workdir)
+        else:
+            print(f"ops_replay_double_run: artifacts kept in {workdir}", file=sys.stderr)
+    return status
 
+
+def double_replay(dacsim, workdir):
     replay = os.path.join(workdir, "steering.jsonl")
     with open(replay, "w", encoding="utf-8") as out:
         out.write(OPS_LOG)

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+
 namespace anyqos::util {
 namespace {
 
@@ -72,6 +79,50 @@ TEST(FormatFixed, FormatsRequestedDigits) {
   EXPECT_EQ(format_fixed(0.8379, 2), "0.84");
   EXPECT_EQ(format_fixed(1.0, 6), "1.000000");
   EXPECT_EQ(format_fixed(-2.5, 1), "-2.5");
+}
+
+// format_g17 must print exactly what printf("%.17g") prints: every artifact
+// that went through the old snprintf writers stays byte-identical.
+TEST(FormatG17, MatchesPrintfOnASeededSample) {
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](double value) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    ++checked;
+    if (format_g17(value).view() != expected) {
+      if (mismatches++ == 0) {
+        first_mismatch = std::string(expected) + " vs " + std::string(format_g17(value).view());
+      }
+    }
+  };
+  using limits = std::numeric_limits<double>;
+  for (const double value :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1e15, 1e16, 1e17, 1e22, 1e-5, 123456789.125,
+        limits::max(), limits::lowest(), limits::min(), -limits::min(), limits::denorm_min(),
+        -limits::denorm_min(), limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN()}) {
+    check(value);
+  }
+  std::mt19937_64 bits(0x5EED'F0A7);
+  for (int i = 0; i < 400'000; ++i) {
+    check(std::bit_cast<double>(bits()));  // every exponent, NaNs and infinities
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    // Exponent field zero: subnormals of either sign.
+    check(std::bit_cast<double>(bits() & 0x800F'FFFF'FFFF'FFFFULL));
+  }
+  std::uniform_real_distribution<double> uniform(-1.0e6, 1.0e6);
+  for (int i = 0; i < 300'000; ++i) {
+    check(uniform(bits));
+  }
+  for (int i = 0; i < 200'000; ++i) {
+    // Integers of every magnitude up to 2^63.
+    check(static_cast<double>(static_cast<std::int64_t>(bits()) >> (bits() % 64)));
+  }
+  EXPECT_EQ(checked, 1'000'021u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 }
 
 }  // namespace
