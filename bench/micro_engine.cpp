@@ -231,7 +231,7 @@ void BM_GdiOracleAdmission(benchmark::State& state) {
     const auto decision = oracle.admit(0.0, request, rng);
     benchmark::DoNotOptimize(decision.admitted);
     if (decision.admitted) {
-      oracle.release(decision.route, decision.reserved_bps);
+      oracle.release(*decision.route, decision.reserved_bps);
     }
   }
 }

@@ -59,7 +59,7 @@ int main() {
     if (decision.admitted) {
       std::cout << "  flow " << i << ": ADMITTED -> member at router "
                 << topology.router_name(group.member(*decision.destination_index)) << " ("
-                << decision.route.hops() << " hops, " << decision.attempts << " attempt(s), "
+                << decision.route->hops() << " hops, " << decision.attempts << " attempt(s), "
                 << decision.messages << " signaling msgs)\n";
       admitted.push_back(decision);
     } else {

@@ -96,7 +96,7 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
     if (result.admitted) {
       decision.admitted = true;
       decision.destination_index = *index;
-      decision.route = route;
+      decision.route = &route;
       decision.reserved_bps = request.bandwidth_bps;
       break;
     }
@@ -116,7 +116,7 @@ AdmissionDecision AdmissionController::admit(const FlowRequest& request, des::Ra
 
 void AdmissionController::release(const AdmissionDecision& decision, net::Bandwidth bandwidth_bps) {
   util::require(decision.admitted, "only admitted flows can be released");
-  rsvp_->teardown(decision.route, bandwidth_bps);
+  rsvp_->teardown(*decision.route, bandwidth_bps);
 }
 
 GlobalAdmissionOracle::GlobalAdmissionOracle(const net::Topology& topology,
@@ -134,13 +134,14 @@ AdmissionDecision GlobalAdmissionOracle::admit(double /*now*/, const FlowRequest
   if (!path.has_value()) {
     return decision;
   }
-  const bool ok = ledger_->reserve(*path, request.bandwidth_bps);
+  const net::Path& route = *paths_.insert(std::move(*path)).first;
+  const bool ok = ledger_->reserve(route, request.bandwidth_bps);
   util::ensure(ok, "feasible path must admit the reservation");
   decision.admitted = true;
-  decision.route = std::move(*path);
+  decision.route = &route;
   decision.reserved_bps = request.bandwidth_bps;
   const auto member = std::find(group_->members().begin(), group_->members().end(),
-                                decision.route.destination);
+                                route.destination);
   util::ensure(member != group_->members().end(), "oracle path must end at a group member");
   decision.destination_index =
       static_cast<std::size_t>(member - group_->members().begin());

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,9 @@ struct AdmissionDecision {
   /// Group-member index the flow was pinned to (set iff admitted).
   std::optional<std::size_t> destination_index;
   /// The reserved route (set iff admitted); release it at flow departure.
-  net::Path route;
+  /// It points into the policy's route table (GDI: the oracle's own path
+  /// store), which outlives every flow the policy admits.
+  const net::Path* route = nullptr;
   /// Bandwidth reserved along `route` (set iff admitted): the request's
   /// demand, or a delay-bounded flow's member-specific rate.
   net::Bandwidth reserved_bps = 0.0;
@@ -187,9 +190,19 @@ class GlobalAdmissionOracle final : public AdmissionPolicy {
   [[nodiscard]] std::string label() const override { return "GDI"; }
 
  private:
+  /// Orders paths by source, then links: together they fix the path.
+  struct PathOrder {
+    bool operator()(const net::Path& a, const net::Path& b) const {
+      return a.source != b.source ? a.source < b.source : a.links < b.links;
+    }
+  };
+
   const net::Topology* topology_;
   net::BandwidthLedger* ledger_;
   const AnycastGroup* group_;
+  // Every distinct path an admission was routed on; decisions point into
+  // it. Bounded by the number of distinct feasible shortest paths.
+  std::set<net::Path, PathOrder> paths_;
 };
 
 }  // namespace anyqos::core

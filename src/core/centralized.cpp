@@ -84,7 +84,7 @@ AdmissionDecision CentralizedController::admit(double now, const FlowRequest& re
   decision.messages += result.messages;
   decision.admitted = true;
   decision.destination_index = *best;
-  decision.route = route;
+  decision.route = &route;
   decision.reserved_bps = bandwidth_bps;
   return decision;
 }

@@ -71,7 +71,7 @@ AdmissionDecision DelayAdmissionController::admit(double /*now*/, const FlowRequ
     if (result.admitted) {
       decision.admitted = true;
       decision.destination_index = index;
-      decision.route = route;
+      decision.route = &route;
       decision.reserved_bps = *rates[index];
       break;
     }

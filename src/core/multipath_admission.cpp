@@ -56,7 +56,7 @@ AdmissionDecision MultiPathAdmissionController::admit(double /*now*/, const Flow
     if (result.admitted) {
       decision.admitted = true;
       decision.destination_index = index;
-      decision.route = route;
+      decision.route = &route;
       decision.reserved_bps = request.bandwidth_bps;
       break;
     }

@@ -28,11 +28,12 @@ namespace anyqos::des {
 /// A move-only `void()` callable with guaranteed inline storage.
 class Action {
  public:
-  /// Inline capture budget, bytes. Two cache lines total for the whole
-  /// Action (capacity + invoke/manage pointers). The largest model closure
-  /// today captures an ActiveFlow by value (~100 bytes); anything bigger
-  /// should box its state rather than grow every queued event.
-  static constexpr std::size_t kCapacity = 112;
+  /// Inline capture budget, bytes: 48 bytes for the whole Action with the
+  /// invoke/manage pointers, so a stored event with its category and
+  /// schedule time fits one cache line. The largest model closures capture
+  /// `this` plus a 24-byte fault or churn record (exactly 32 bytes); a
+  /// bigger capture must box its state rather than grow every queued event.
+  static constexpr std::size_t kCapacity = 32;
 
   Action() = default;
 

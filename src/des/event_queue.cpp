@@ -8,7 +8,7 @@ EventHandle EventQueue::schedule(double time, Action action, EventCategory categ
                                  double scheduled_at) {
   util::require(static_cast<bool>(action), "cannot schedule an empty action");
   const std::uint64_t id = next_id_++;
-  heap_.push(Entry{time, next_sequence_++, id});
+  heap_.push(Entry{time, id});
   pending_.emplace(id, Stored{std::move(action), category, scheduled_at});
   ++live_;
   return EventHandle{id};

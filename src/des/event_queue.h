@@ -68,9 +68,10 @@ class EventQueue {
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
+  // Ids are drawn 1, 2, 3, ... in schedule order, so ordering by (time, id)
+  // is the FIFO tie-break and the id doubles as the sequence number.
   struct Entry {
     double time;
-    std::uint64_t sequence;
     std::uint64_t id;
   };
   struct Later {
@@ -78,7 +79,7 @@ class EventQueue {
       if (a.time != b.time) {
         return a.time > b.time;
       }
-      return a.sequence > b.sequence;
+      return a.id > b.id;
     }
   };
 
@@ -92,13 +93,11 @@ class EventQueue {
   };
 
   // Stored events live in `pending_` keyed by event id; the heap stores
-  // plain (time, sequence, id) entries, so cancelling is just erasing from
-  // the map and the heap entry becomes a tombstone skipped by
-  // drop_cancelled().
+  // plain (time, id) entries, so cancelling is just erasing from the map and
+  // the heap entry becomes a tombstone skipped by drop_cancelled().
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::unordered_map<std::uint64_t, Stored> pending_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t next_sequence_ = 0;
   std::size_t live_ = 0;
   mutable std::uint64_t tombstones_popped_ = 0;
 };

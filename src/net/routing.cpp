@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "src/util/require.h"
 
@@ -212,6 +214,9 @@ std::vector<Path> k_shortest_paths(const Topology& topology, NodeId source, Node
   return result;
 }
 
+static_assert(std::is_nothrow_move_constructible_v<RouteTable>,
+              "GroupState keeps its RouteTable in a std::vector");
+
 RouteTable::RouteTable(const Topology& topology, std::vector<NodeId> destinations)
     : destinations_(std::move(destinations)), router_count_(topology.router_count()) {
   util::require(!destinations_.empty(), "route table needs at least one destination");
@@ -220,16 +225,26 @@ RouteTable::RouteTable(const Topology& topology, std::vector<NodeId> destination
   }
   // One BFS tree per router serves every member. shortest_path(s, d) builds
   // the same tree for each d, so every route equals its per-pair result.
-  routes_.resize(router_count_ * destinations_.size());
-  reachable_.assign(routes_.size(), 0);
-  recompute(topology, std::vector<char>(topology.duplex_link_count(), 1));
-  const auto unreachable = std::find(reachable_.begin(), reachable_.end(), 0);
-  if (unreachable != reachable_.end()) {
-    const auto idx = static_cast<std::size_t>(unreachable - reachable_.begin());
-    util::require(false, "topology is disconnected: no route from " +
-                             std::to_string(idx / destinations_.size()) + " to " +
-                             std::to_string(destinations_[idx % destinations_.size()]));
+  intact_.reserve(router_count_ * destinations_.size());
+  std::vector<LinkId> parent;
+  for (NodeId s = 0; s < router_count_; ++s) {
+    const auto dist = bfs(topology, s, [](LinkId) { return true; }, &parent);
+    for (const NodeId d : destinations_) {
+      if (dist[d] == kUnreachable) {
+        std::string message = "topology is disconnected: no route from ";
+        message += std::to_string(s);
+        message += " to ";
+        message += std::to_string(d);
+        util::fail_requirement(message);
+      }
+      intact_.push_back(unwind(topology, s, d, parent));
+    }
   }
+  routes_.reserve(intact_.size());
+  for (const Path& path : intact_) {
+    routes_.push_back(&path);
+  }
+  reachable_.assign(intact_.size(), 1);
 }
 
 void RouteTable::recompute(const Topology& topology, const std::vector<char>& duplex_up) {
@@ -238,16 +253,35 @@ void RouteTable::recompute(const Topology& topology, const std::vector<char>& du
                 "duplex_up must have one entry per duplex link");
   const auto usable = [&](LinkId id) { return duplex_up[id / 2] != 0; };
   std::vector<LinkId> parent;
+  // True when `path` is the tree path unwind() would produce: every link is
+  // the parent link of the node it enters.
+  const auto in_tree = [&](const Path& path) {
+    return std::all_of(path.links.begin(), path.links.end(),
+                       [&](LinkId id) { return parent[topology.link(id).to] == id; });
+  };
   for (NodeId s = 0; s < router_count_; ++s) {
     const auto dist = bfs(topology, s, usable, &parent);
     for (std::size_t i = 0; i < destinations_.size(); ++i) {
       const std::size_t idx = s * destinations_.size() + i;
       if (dist[destinations_[i]] == kUnreachable) {
-        reachable_[idx] = 0;  // keep the stale path; distance() stays defined
-      } else {
-        routes_[idx] = unwind(topology, s, destinations_[i], parent);
-        reachable_[idx] = 1;
+        reachable_[idx] = 0;  // keep the stale route; distance() stays defined
+        continue;
       }
+      reachable_[idx] = 1;
+      if (in_tree(*routes_[idx])) {
+        continue;  // unchanged: the pair keeps its route object
+      }
+      if (in_tree(intact_[idx])) {
+        routes_[idx] = &intact_[idx];
+        continue;
+      }
+      const auto [first, last] = detours_.equal_range(idx);
+      auto held = std::find_if(first, last,
+                               [&](const auto& entry) { return in_tree(entry.second); });
+      if (held == last) {
+        held = detours_.emplace_hint(last, idx, unwind(topology, s, destinations_[i], parent));
+      }
+      routes_[idx] = &held->second;
     }
   }
 }
@@ -261,7 +295,7 @@ bool RouteTable::has_route(NodeId source, std::size_t index) const {
 const Path& RouteTable::route(NodeId source, std::size_t index) const {
   util::require(source < router_count_, "source out of range");
   util::require(index < destinations_.size(), "destination index out of range");
-  return routes_[source * destinations_.size() + index];
+  return *routes_[source * destinations_.size() + index];
 }
 
 std::size_t RouteTable::distance(NodeId source, std::size_t index) const {

@@ -60,8 +60,8 @@ std::vector<FlowId> FlowTable::flows_using_link(net::LinkId link) const {
   std::vector<FlowId> ids;
   ANYQOS_DETLINT_ALLOW(unordered_artifact_iteration, "sorted-key extraction");
   for (const auto& [id, flow] : flows_) {
-    if (std::find(flow.route.links.begin(), flow.route.links.end(), link) !=
-        flow.route.links.end()) {
+    if (std::find(flow.route->links.begin(), flow.route->links.end(), link) !=
+        flow.route->links.end()) {
       ids.push_back(id);
     }
   }

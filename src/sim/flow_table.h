@@ -20,7 +20,9 @@ struct ActiveFlow {
   net::NodeId source = net::kInvalidNode;
   std::uint32_t group = 0;            ///< the flow's anycast group (0 = primary)
   std::size_t destination_index = 0;  ///< index into that group's members
-  net::Path route;                    ///< links holding the reservation
+  /// Links holding the reservation: a route owned by the admitting group's
+  /// RouteTable or its admission policy, both of which outlive the flow.
+  const net::Path* route = nullptr;
   net::Bandwidth bandwidth_bps = 0.0;
   double admitted_at = 0.0;
 };

@@ -666,14 +666,14 @@ void Simulation::handle_arrival(std::uint32_t index) {
 }
 
 void Simulation::start_flow(std::uint32_t group, const core::FlowRequest& request,
-                            core::AdmissionDecision& decision) {
-  touch_links(decision.route);
+                            const core::AdmissionDecision& decision) {
+  touch_links(*decision.route);
   ActiveFlow flow;
   flow.request_id = request.request_id;
   flow.source = request.source;
   flow.group = group;
   flow.destination_index = *decision.destination_index;
-  flow.route = std::move(decision.route);
+  flow.route = decision.route;
   flow.bandwidth_bps = decision.reserved_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
@@ -702,14 +702,14 @@ void Simulation::handle_departure(FlowId id) {
   const ActiveFlow flow = flows_.take(id);
   GroupState& state = groups_[flow.group];
   if (policy_ != nullptr) {
-    policy_->release(flow.route, flow.bandwidth_bps);
+    policy_->release(*flow.route, flow.bandwidth_bps);
   } else {
     // Under the resilient protocol the TEAR may be lost, deferring the
     // release to soft-state orphan reclamation.
-    rsvp_->teardown(flow.route, flow.bandwidth_bps);
+    rsvp_->teardown(*flow.route, flow.bandwidth_bps);
   }
   state.metrics.record_teardown(TeardownCause::kExplicit);
-  touch_links(flow.route);
+  touch_links(*flow.route);
   record_active_flows();
   emit_trace(TraceEventKind::kDeparted, flow.request_id, flow.source,
              state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
@@ -732,25 +732,25 @@ void Simulation::drop_flows_on_link(net::LinkId link) {
       broken.bandwidth_bps = flow.bandwidth_bps;
       broken.admitted_at = flow.admitted_at;
       broken.broken_at = simulator_.now();
-      for (const net::LinkId survivor : flow.route.links) {
+      for (const net::LinkId survivor : flow.route->links) {
         if (survivor != link) {
           broken.remnant.links.push_back(survivor);
         }
       }
-      repair_->add(std::move(broken), flow.route);
-      touch_links(flow.route);
+      repair_->add(std::move(broken), *flow.route);
+      touch_links(*flow.route);
       continue;  // outcome (kRepaired / kRepairFailed / kDeparted) traces later
     }
     if (policy_ != nullptr) {
       // Policy runs signal over the plain walk, whose release always commits.
-      policy_->release(flow.route, flow.bandwidth_bps);
+      policy_->release(*flow.route, flow.bandwidth_bps);
     } else {
       // The link is about to be taken out of service and the ledger requires
       // it idle, so the release must commit now — a lossy TEAR would leave
       // bandwidth reserved on a failed link.
-      rsvp_->force_teardown(flow.route, flow.bandwidth_bps);
+      rsvp_->force_teardown(*flow.route, flow.bandwidth_bps);
     }
-    touch_links(flow.route);
+    touch_links(*flow.route);
     GroupState& state = groups_[flow.group];
     state.metrics.record_teardown(TeardownCause::kLinkFault);
     emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
@@ -935,15 +935,15 @@ void Simulation::run_repair_pass() {
     // held, then resolve() releases the remnant. When nothing survived the
     // outage this degrades to break-before-make (tallied by the service).
     bool admitted = false;
-    net::Path route;
+    const net::Path* route = nullptr;
     const std::uint64_t messages_before = counter_.total();
     if (config_.tracer != nullptr && config_.tracer->active()) {
       config_.tracer->begin_request(broken.request_id, broken.source, broken.bandwidth_bps,
                                     "repair", 0, state.group.size());
     }
     if (state.group.is_up(member) && state.routes.has_route(broken.source, member)) {
-      route = state.routes.route(broken.source, member);
-      admitted = rsvp_->reserve(route, broken.bandwidth_bps).admitted;
+      route = &state.routes.route(broken.source, member);
+      admitted = rsvp_->reserve(*route, broken.bandwidth_bps).admitted;
       (void)rsvp_->consume_pending_wait();  // repair waits stay out of setup delay
       if (!admitted && !broken.remnant.links.empty()) {
         // Break-before-make fallback: the remnant's own bandwidth blocks the
@@ -952,7 +952,7 @@ void Simulation::run_repair_pass() {
         const net::Path surrendered = broken.remnant;
         repair_->surrender_remnant(id);
         touch_links(surrendered);
-        admitted = rsvp_->reserve(route, broken.bandwidth_bps).admitted;
+        admitted = rsvp_->reserve(*route, broken.bandwidth_bps).admitted;
         (void)rsvp_->consume_pending_wait();
       }
     }
@@ -973,7 +973,7 @@ void Simulation::run_repair_pass() {
       flow.bandwidth_bps = done.bandwidth_bps;
       flow.admitted_at = done.admitted_at;
       flows_.restore(std::move(flow));  // keeps the armed departure timer valid
-      touch_links(route);
+      touch_links(*route);
       state.metrics.record_repair(true);
       emit_trace(TraceEventKind::kRepaired, done.request_id, done.source,
                  state.group.member(member), 0, done.bandwidth_bps);
@@ -1009,8 +1009,8 @@ void Simulation::take_member_down(std::size_t member, std::vector<ActiveFlow>* d
     // The route's links are all still in service — only the endpoint died —
     // so the normal (possibly lossy) TEAR path applies; a lost TEAR becomes
     // an orphan that soft-state expiry reclaims.
-    rsvp_->teardown(flow.route, flow.bandwidth_bps);
-    touch_links(flow.route);
+    rsvp_->teardown(*flow.route, flow.bandwidth_bps);
+    touch_links(*flow.route);
     state.metrics.record_teardown(TeardownCause::kChurn);
     emit_trace(TraceEventKind::kDropped, flow.request_id, flow.source,
                state.group.member(flow.destination_index), 0, flow.bandwidth_bps);
@@ -1069,7 +1069,7 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   // its outcome still feeds the feedback window — it is real load.
   const std::uint64_t path_before =
       governor_ != nullptr ? counter_.by_kind(signaling::MessageKind::kPath) : 0;
-  core::AdmissionDecision decision =
+  const core::AdmissionDecision decision =
       controller_for(state, request.source).admit(request, selection_rng_);
   if (governor_ != nullptr) {
     governor_->on_decision(simulator_.now(), decision.admitted,

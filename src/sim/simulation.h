@@ -464,10 +464,10 @@ class Simulation {
   void record_active_flows();
   void schedule_next_arrival(std::uint32_t index);
   void handle_arrival(std::uint32_t index);
-  /// Installs an admitted decision as a flow of group `group` (the route
-  /// moves out of `decision`) and schedules its departure.
+  /// Installs an admitted decision as a flow of group `group` (the flow
+  /// points at the decision's route) and schedules its departure.
   void start_flow(std::uint32_t group, const core::FlowRequest& request,
-                  core::AdmissionDecision& decision);
+                  const core::AdmissionDecision& decision);
   void handle_departure(FlowId id);
   void apply_fault(const LinkFault& fault);
   void repair_fault(const LinkFault& fault);

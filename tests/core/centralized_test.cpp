@@ -37,11 +37,11 @@ TEST(Centralized, AdmitsOnNearestFeasibleRoute) {
   const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(*decision.destination_index, 0u);  // 1 hop beats 4 hops
-  EXPECT_EQ(decision.route.hops(), 1u);
+  EXPECT_EQ(decision.route->hops(), 1u);
   EXPECT_EQ(decision.attempts, 1u);
   EXPECT_DOUBLE_EQ(decision.reserved_bps, 64'000.0);
   EXPECT_EQ(controller.label(), "CTRL@2");
-  controller.release(decision.route, decision.reserved_bps);
+  controller.release(*decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
@@ -77,8 +77,8 @@ TEST(Centralized, ControlMessagesScaleWithDistanceToAgency) {
   const AdmissionDecision far = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(near.admitted && far.admitted);
   // far pays 2*4 control messages more than a co-located source.
-  EXPECT_EQ(far.messages - (far.route.hops() * 2), 8u);
-  EXPECT_EQ(near.messages - (near.route.hops() * 2), 0u);
+  EXPECT_EQ(far.messages - (far.route->hops() * 2), 8u);
+  EXPECT_EQ(near.messages - (near.route->hops() * 2), 0u);
 }
 
 TEST(Centralized, DecisionServerQueues) {
@@ -106,7 +106,7 @@ TEST(Centralized, Validation) {
                std::invalid_argument);
   const AdmissionDecision admitted = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(admitted.admitted);
-  EXPECT_THROW(controller.release(admitted.route, 0.0), std::invalid_argument);
+  EXPECT_THROW(controller.release(*admitted.route, 0.0), std::invalid_argument);
 }
 
 TEST(Centralized, AtLeastAsGoodAsAnyFixedRoutePolicy) {
@@ -126,7 +126,7 @@ TEST(Centralized, AtLeastAsGoodAsAnyFixedRoutePolicy) {
     if (decision.admitted) {
       // Occasionally release to keep churn going.
       if (rng.bernoulli(0.7)) {
-        controller.release(decision.route, decision.reserved_bps);
+        controller.release(*decision.route, decision.reserved_bps);
       }
     } else {
       EXPECT_FALSE(any_feasible) << "agency rejected despite a feasible route";

@@ -50,8 +50,8 @@ TEST(DelayAdmission, AdmitsAndReservesMemberSpecificRate) {
   const auto expected = controller.required_rate(0, 1.0, *decision.destination_index);
   ASSERT_TRUE(expected.has_value());
   EXPECT_DOUBLE_EQ(decision.reserved_bps, *expected);
-  EXPECT_DOUBLE_EQ(f.ledger.reserved(decision.route.links[0]), *expected);
-  controller.release(decision.route, decision.reserved_bps);
+  EXPECT_DOUBLE_EQ(f.ledger.reserved(decision.route->links[0]), *expected);
+  controller.release(*decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
@@ -66,7 +66,7 @@ TEST(DelayAdmission, PrefersCheaperNearMember) {
     if (*decision.destination_index == 0) {
       ++near_count;
     }
-    controller.release(decision.route, decision.reserved_bps);
+    controller.release(*decision.route, decision.reserved_bps);
   }
   // Weights 1/rate: near member is 4x cheaper => ~80% share.
   EXPECT_NEAR(near_count / static_cast<double>(trials), 0.8, 0.04);
@@ -94,7 +94,7 @@ TEST(DelayAdmission, OnlyFeasibleMembersAreTried) {
     const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
     ASSERT_TRUE(decision.admitted);
     EXPECT_EQ(*decision.destination_index, 0u);
-    controller.release(decision.route, decision.reserved_bps);
+    controller.release(*decision.route, decision.reserved_bps);
   }
 }
 
@@ -146,7 +146,7 @@ TEST(DelayAdmission, RetryFallsBackToFartherMember) {
     const AdmissionDecision decision = controller.admit(0.0, Fixture::kRequest, f.rng);
     ASSERT_TRUE(decision.admitted);
     EXPECT_EQ(*decision.destination_index, 0u);
-    controller.release(decision.route, decision.reserved_bps);
+    controller.release(*decision.route, decision.reserved_bps);
   }
 }
 

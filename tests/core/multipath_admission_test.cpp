@@ -44,8 +44,8 @@ TEST(MultiPathAdmission, AdmitsAndReleases) {
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(*decision.destination_index, 0u);
   EXPECT_DOUBLE_EQ(decision.reserved_bps, 64'000.0);
-  f.topo.validate_path(decision.route);
-  controller.release(decision.route, decision.reserved_bps);
+  f.topo.validate_path(*decision.route);
+  controller.release(*decision.route, decision.reserved_bps);
   EXPECT_DOUBLE_EQ(f.ledger.total_reserved(), 0.0);
 }
 
@@ -56,8 +56,8 @@ TEST(MultiPathAdmission, SurvivesPrimaryPathSaturation) {
   for (int i = 0; i < 30; ++i) {
     const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, f.rng);
     ASSERT_TRUE(decision.admitted);
-    EXPECT_EQ(decision.route.links.front(), *f.topo.find_link(0, 5));
-    controller.release(decision.route, decision.reserved_bps);
+    EXPECT_EQ(decision.route->links.front(), *f.topo.find_link(0, 5));
+    controller.release(*decision.route, decision.reserved_bps);
   }
 }
 
@@ -72,7 +72,7 @@ TEST(MultiPathAdmission, SinglePathControllerCannotSurvive) {
   for (int i = 0; i < 300; ++i) {
     const AdmissionDecision decision = r1.admit(0.0, {0, 64'000.0}, f.rng);
     if (decision.admitted) {
-      r1.release(decision.route, decision.reserved_bps);
+      r1.release(*decision.route, decision.reserved_bps);
     } else {
       ++rejected;
     }
@@ -108,10 +108,10 @@ TEST(MultiPathAdmission, ShorterAlternativesWeighHeavier) {
   for (int i = 0; i < trials; ++i) {
     const AdmissionDecision decision = controller.admit(0.0, {0, 64'000.0}, rng);
     ASSERT_TRUE(decision.admitted);
-    if (decision.route.hops() == 2) {
+    if (decision.route->hops() == 2) {
       ++via_short;
     }
-    controller.release(decision.route, decision.reserved_bps);
+    controller.release(*decision.route, decision.reserved_bps);
   }
   EXPECT_NEAR(via_short / static_cast<double>(trials), 2.0 / 3.0, 0.04);
 }
@@ -123,7 +123,7 @@ TEST(MultiPathAdmission, Validation) {
                std::invalid_argument);
   const AdmissionDecision admitted = controller.admit(0.0, {0, 64'000.0}, f.rng);
   ASSERT_TRUE(admitted.admitted);
-  EXPECT_THROW(controller.release(admitted.route, 0.0), std::invalid_argument);
+  EXPECT_THROW(controller.release(*admitted.route, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -251,7 +251,7 @@ TEST(DistanceBandwidth, ColocatedMemberTakesAllWeightUntilTried) {
   const AdmissionDecision decision = controller.admit({0, 64'000.0}, rng);
   ASSERT_TRUE(decision.admitted);
   EXPECT_EQ(*decision.destination_index, 0u);
-  EXPECT_TRUE(decision.route.empty());
+  EXPECT_TRUE(decision.route->empty());
 }
 
 TEST(ShortestPathPolicy, AlwaysNearestFirst) {

@@ -4,6 +4,8 @@
 
 #include <set>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/net/topologies.h"
 
@@ -171,6 +173,45 @@ TEST(RouteTable, StoresFixedRoutes) {
   EXPECT_EQ(table.distance(0, 1), 1u);
   EXPECT_EQ(table.distance(2, 0), 0u);  // member co-located
 }
+
+TEST(RouteTable, RecomputeKeepsHandedOutRoutes) {
+  // Grid 3x3, router 0 to member 8. A flow holds a reference to the route;
+  // failing a link on it moves the pair to a detour without touching the
+  // route the flow holds, and the intact path's return gives the pair its
+  // original object back.
+  const Topology topo = topologies::grid(3, 3);
+  RouteTable table(topo, {8});
+  const Path& held = table.route(0, 0);
+  const std::vector<LinkId> original = held.links;
+  ASSERT_FALSE(original.empty());
+
+  std::vector<char> duplex_up(topo.link_count() / 2, 1);
+  duplex_up[original.front() / 2] = 0;
+  table.recompute(topo, duplex_up);
+  EXPECT_EQ(held.links, original);
+  const Path& detour = table.route(0, 0);
+  EXPECT_NE(&detour, &held);
+  EXPECT_NE(detour.links, original);
+  EXPECT_EQ(detour.hops(), original.size());  // the grid has equal-length detours
+
+  const std::vector<char> all_up(topo.link_count() / 2, 1);
+  table.recompute(topo, all_up);
+  EXPECT_EQ(&table.route(0, 0), &held);
+
+  // A second fail/repair cycle reuses the detour it handed out before.
+  table.recompute(topo, duplex_up);
+  EXPECT_EQ(&table.route(0, 0), &detour);
+  table.recompute(topo, all_up);
+  EXPECT_EQ(&table.route(0, 0), &held);
+
+  // Moving the table keeps every handed-out route where it is.
+  const RouteTable moved = std::move(table);
+  EXPECT_EQ(&moved.route(0, 0), &held);
+  EXPECT_EQ(detour.links.size(), original.size());
+}
+
+static_assert(!std::is_copy_constructible_v<RouteTable>,
+              "a copy would point into the original's routes");
 
 TEST(RouteTable, ShortestDestinationWithTieTowardLowerIndex) {
   const Topology topo = square();

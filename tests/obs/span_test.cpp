@@ -86,7 +86,7 @@ TEST(DecisionTracer, AdmittedRequestProducesRootAndChildSpans) {
   EXPECT_EQ(child.member_index, *decision.destination_index);
   EXPECT_EQ(child.member_node, f.group.member(*decision.destination_index));
   EXPECT_EQ(child.weights.size(), f.group.size());  // snapshot at selection time
-  EXPECT_EQ(child.route_hops, decision.route.hops());
+  EXPECT_EQ(child.route_hops, decision.route->hops());
   EXPECT_TRUE(child.admitted);
   EXPECT_FALSE(child.blocking_link.has_value());
   EXPECT_GT(child.messages, 0u);

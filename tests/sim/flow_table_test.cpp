@@ -2,17 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 namespace anyqos::sim {
 namespace {
 
+// A flow points at its route; the routes here outlive every table, as a
+// RouteTable outlives the flows it routes.
 ActiveFlow flow_on_links(std::initializer_list<net::LinkId> links) {
+  static std::deque<net::Path> routes;
+  net::Path& route = routes.emplace_back();
+  route.source = 0;
+  route.destination = 1;
+  route.links.assign(links);
   ActiveFlow flow;
   flow.source = 0;
   flow.destination_index = 0;
   flow.bandwidth_bps = 64'000.0;
-  flow.route.source = 0;
-  flow.route.destination = 1;
-  flow.route.links.assign(links);
+  flow.route = &route;
   return flow;
 }
 
@@ -30,7 +37,7 @@ TEST(FlowTable, TakeRemovesAndReturns) {
   const FlowId id = table.insert(flow_on_links({3, 4}));
   const ActiveFlow flow = table.take(id);
   EXPECT_EQ(flow.id, id);
-  EXPECT_EQ(flow.route.links.size(), 2u);
+  EXPECT_EQ(flow.route->links.size(), 2u);
   EXPECT_FALSE(table.contains(id));
   EXPECT_TRUE(table.empty());
 }
@@ -46,7 +53,7 @@ TEST(FlowTable, TakeMissingThrows) {
 TEST(FlowTable, GetWithoutRemoving) {
   FlowTable table;
   const FlowId id = table.insert(flow_on_links({7}));
-  EXPECT_EQ(table.get(id).route.links[0], 7u);
+  EXPECT_EQ(table.get(id).route->links[0], 7u);
   EXPECT_TRUE(table.contains(id));
   EXPECT_THROW(static_cast<void>(table.get(id + 1)), std::invalid_argument);
 }
