@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "src/util/require.h"
+#include "src/util/strings.h"
 
 namespace anyqos::sim {
 
@@ -54,7 +55,7 @@ CsvTraceSink::CsvTraceSink(std::ostream& out) : out_(&out) {
 }
 
 void CsvTraceSink::record(const TraceEvent& event) {
-  *out_ << event.time << ',' << to_string(event.kind) << ',';
+  *out_ << util::format_g17(event.time).view() << ',' << to_string(event.kind) << ',';
   if (event.flow == 0) {
     *out_ << '-';  // link events carry no request id
   } else {
@@ -72,8 +73,8 @@ void CsvTraceSink::record(const TraceEvent& event) {
   } else {
     *out_ << event.destination;
   }
-  *out_ << ',' << event.attempts << ',' << event.bandwidth_bps << ',' << event.active_flows
-        << '\n';
+  *out_ << ',' << event.attempts << ',' << util::format_g17(event.bandwidth_bps).view() << ','
+        << event.active_flows << '\n';
 }
 
 }  // namespace anyqos::sim

@@ -74,6 +74,8 @@ class MemoryTraceSink final : public TraceSink {
 
 /// Streams events as CSV rows (`time,kind,flow,source,destination,attempts,
 /// bandwidth_bps,active`) with a header, suitable for any plotting tool.
+/// Times and bandwidths print as "%.17g" does, so they read back exactly and
+/// join with spans and flight dumps on equal values.
 class CsvTraceSink final : public TraceSink {
  public:
   /// `out` must outlive the sink.

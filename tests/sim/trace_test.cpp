@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/net/topologies.h"
 #include "src/sim/faults.h"
@@ -61,6 +63,35 @@ TEST(CsvTraceSink, WritesHeaderAndRows) {
   EXPECT_NE(text.find("1.5,ADMITTED,17,3,8,2,64000,41"), std::string::npos);
   // Link events carry no request id or bandwidth.
   EXPECT_NE(text.find("2,LINK_DOWN,-,0,1,0,0,0"), std::string::npos);
+}
+
+TEST(CsvTraceSink, TimesAndBandwidthsRoundTripExactly) {
+  // Six significant digits would print 12345.7 and lose the rest; every
+  // written value must parse back to the double that was recorded.
+  std::ostringstream out;
+  CsvTraceSink sink(out);
+  TraceEvent event;
+  event.time = 12345.678901234;
+  event.kind = TraceEventKind::kAdmitted;
+  event.flow = 1;
+  event.source = 0;
+  event.destination = 4;
+  event.attempts = 1;
+  event.bandwidth_bps = 64000.25;
+  sink.record(event);
+  std::istringstream in(out.str());
+  std::string header;
+  std::string row;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, row));
+  std::vector<std::string> fields;
+  std::istringstream cells(row);
+  for (std::string cell; std::getline(cells, cell, ',');) {
+    fields.push_back(cell);
+  }
+  ASSERT_EQ(fields.size(), 8u) << row;
+  EXPECT_EQ(std::stod(fields[0]), 12345.678901234) << fields[0];
+  EXPECT_EQ(std::stod(fields[6]), 64000.25) << fields[6];
 }
 
 TEST(SimulationTracing, FlowEventsCarryRequestIdAndBandwidth) {

@@ -322,15 +322,15 @@ def check_trace_vs_spans(events, chains, decisions, attempts, report):
     # Failed failover re-admissions mint a request id that emits rejected
     # spans but never enters the trace (the original flow is what gets the
     # DROPPED row). They are recognizable: every span is rejected and sits
-    # exactly at a fault instant. Times join on the trace's %g rendering.
-    fault_instants = {"%g" % e["time"] for e in events
+    # exactly at a fault instant.
+    fault_instants = {e["time"] for e in events
                       if e["kind"] in ("MEMBER_DOWN", "NODE_DOWN", "LINK_DOWN")}
 
     def failover_rejection(request):
         rows = decisions.get(request, [])
         if not rows or any(row["admitted"] for _, row in rows):
             return False
-        return all("%g" % row["time"] in fault_instants
+        return all(row["time"] in fault_instants
                    for _, row in rows + attempts.get(request, []))
 
     span_requests = sorted(set(decisions) | set(attempts))
